@@ -7,9 +7,8 @@
 //! the same requests from one warm [`Ensemble`]: geometry and scratch are
 //! shared, members step in lockstep with the hyperviscosity plan built once
 //! per step and the RK + hypervis kernels batched across member lanes
-//! (`member_kernel_path = "lanes"`: one `V4F64` per grid value, lanes are
-//! members; `"chunked"` keeps the pair-wise row kernels as the A/B
-//! baseline — select with `SWCAM_BENCH_MEMBER_KERNELS=chunked`).
+//! (one `V4F64` per grid value, lanes are members; full groups of four
+//! share a lane sweep, ragged tails step member-serially).
 //!
 //! Measures, per batch width N up to the lane count (default 4, override
 //! with `SWCAM_BENCH_MEMBERS`):
@@ -29,13 +28,11 @@
 
 use std::time::Instant;
 
-use swcam_core::{
-    Ensemble, EnsembleConfig, MemberKernelPath, MemberStatus, ScenarioRegistry, ScenarioSpec,
-};
+use swcam_core::{Ensemble, EnsembleConfig, MemberStatus, ScenarioRegistry, ScenarioSpec};
 
 const TARGET_SPEEDUP: f64 = 3.0;
 /// Floor the guard enforces on the steady-state per-member-step ratio at
-/// the full lane count when the lane kernel path is armed.
+/// the full lane count.
 const STEADY_TARGET_SPEEDUP: f64 = 1.8;
 
 fn seed_for(n: usize, m: usize) -> u64 {
@@ -67,26 +64,13 @@ fn main() {
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| (1..=32).contains(&n))
         .unwrap_or(4);
-    let path = match std::env::var("SWCAM_BENCH_MEMBER_KERNELS").ok().as_deref() {
-        Some("chunked") => MemberKernelPath::Chunked,
-        _ => MemberKernelPath::Lanes,
-    };
-    let path_name = match path {
-        MemberKernelPath::Lanes => "lanes",
-        MemberKernelPath::Chunked => "chunked",
-    };
-    // Widest member batch one kernel sweep serves on this path.
-    let chunk_width = match path {
-        MemberKernelPath::Lanes => 4.min(lanes),
-        MemberKernelPath::Chunked => 2.min(lanes),
-    };
     let mut batches: Vec<usize> = [1, 2, lanes].into_iter().filter(|&b| b <= lanes).collect();
     batches.sort_unstable();
     batches.dedup();
-    let ecfg = EnsembleConfig { lanes, max_rollbacks: 2, member_kernel_path: path };
+    let ecfg = EnsembleConfig { lanes, max_rollbacks: 2, ..Default::default() };
     println!(
         "ensemble: scenario {}, ne{}, nlev {}, qsize {}, {steps} steps/member, \
-         {lanes} lanes, {path_name} kernels{}",
+         {lanes} lanes{}",
         spec.name,
         spec.config.ne,
         spec.config.nlev,
@@ -237,8 +221,6 @@ fn main() {
          \"scenario\": \"{scenario}\",\n  \"ne\": {ne},\n  \"nlev\": {nlev},\n  \
          \"qsize\": {qsize},\n  \"steps_per_member\": {steps},\n  \
          \"members\": {lanes},\n  \
-         \"member_kernel_path\": \"{path_name}\",\n  \
-         \"member_chunk_width\": {chunk_width},\n  \
          \"construction_ms\": {construction_ms:.3},\n  \
          \"batches\": [\n{batches_json}\n  ],\n  \
          \"steady_serial_ms_per_member_step\": {serial_step_ms:.3},\n  \

@@ -46,10 +46,9 @@ pub struct EnsembleConfig {
     /// Consecutive failed steps a member may roll back before it is marked
     /// [`MemberStatus::Failed`] and retired.
     pub max_rollbacks: usize,
-    /// Which member-batched kernel family the shared dycore runs when two
-    /// or more members are resident: the lane-transposed tiles (default)
-    /// or the pair-wise chunked row kernels kept as the A/B baseline.
-    /// Bitwise-identical results either way.
+    /// The member-batched kernel family (single-variant; nothing reads it
+    /// — it remains only so the `perfbench` crate compiles, see
+    /// [`MemberKernelPath`]).
     pub member_kernel_path: MemberKernelPath,
 }
 
@@ -171,8 +170,7 @@ impl Ensemble {
     pub fn new(spec: ScenarioSpec, cfg: EnsembleConfig) -> Self {
         assert!(cfg.lanes > 0, "ensemble needs at least one lane");
         spec.config.validate().expect("invalid scenario configuration");
-        let mut dycore = build_dycore(&spec.config);
-        dycore.member_kernels = cfg.member_kernel_path;
+        let dycore = build_dycore(&spec.config);
         let suite = build_suite(&spec.config);
         let nelem = dycore.grid.elements.len();
         let npts = nelem * NPTS;

@@ -1,18 +1,15 @@
-//! Bitwise contract of the member-lane kernel path: with
-//! `member_kernel_path = Lanes` armed, member m of an N-member batch is
-//! bit-for-bit equal to a standalone run of the same scenario and seed —
-//! across every lane occupancy the sweep dispatcher sees (full 4-wide
-//! sweeps, ragged 1/2/3-lane tails, 4 + 1 splits), across column depths
+//! Bitwise contract of the member-lane kernel path: member m of an
+//! N-member batch is bit-for-bit equal to a standalone run of the same
+//! scenario and seed — across every lane occupancy the sweep dispatcher
+//! sees (full 4-wide sweeps, member-serial 1/2/3-member batches, and a
+//! full sweep followed by a 1-, 2- or 3-member tail), across column depths
 //! from a single level to a 128-level stratosphere-resolving stack, dry
 //! and moist, with members admitted and retired mid-run, and with a
 //! poisoned member's NaNs riding through the shared lane tiles without
 //! touching its neighbors.
 
 use swcam_core::homme::HealthError;
-use swcam_core::{
-    Ensemble, EnsembleConfig, MemberKernelPath, MemberStatus, ScenarioRegistry, ScenarioSpec,
-    Swcam,
-};
+use swcam_core::{Ensemble, EnsembleConfig, MemberStatus, ScenarioRegistry, ScenarioSpec, Swcam};
 
 /// Shrink a registry scenario to test scale at a chosen column depth.
 fn shrunk(name: &str, nlev: usize) -> ScenarioSpec {
@@ -23,9 +20,9 @@ fn shrunk(name: &str, nlev: usize) -> ScenarioSpec {
     spec
 }
 
-/// Engine config with the lane path explicitly armed.
+/// Engine config batching up to `lanes` members.
 fn lane_cfg(lanes: usize) -> EnsembleConfig {
-    EnsembleConfig { lanes, member_kernel_path: MemberKernelPath::Lanes, ..Default::default() }
+    EnsembleConfig { lanes, ..Default::default() }
 }
 
 /// Standalone oracle: the exact member trajectory a serial run produces.
@@ -66,11 +63,11 @@ fn pin_batch(spec: &ScenarioSpec, n: usize, steps: usize) {
 #[test]
 fn lane_members_match_standalone_bitwise_dry() {
     // Adiabatic dycore-only scenario: every batch width against every
-    // short-to-operational column depth. N = 3 is the masked ragged tail,
-    // N = 5 a full sweep plus a duplicated-lane single.
+    // short-to-operational column depth. N < 4 runs member-serially; N = 5,
+    // 6 and 7 are a full sweep followed by a 1-, 2- and 3-member tail.
     for nlev in [1usize, 3, 26] {
         let spec = shrunk("resting", nlev);
-        for n in [1usize, 2, 3, 4, 5] {
+        for n in [1usize, 2, 3, 4, 5, 6, 7] {
             pin_batch(&spec, n, 2);
         }
     }
@@ -92,7 +89,7 @@ fn lane_members_match_standalone_bitwise_moist() {
     // per member around the batched dynamics and hypervis.
     for nlev in [3usize, 26] {
         let spec = shrunk("aquaplanet", nlev);
-        for n in [1usize, 2, 3, 4, 5] {
+        for n in [1usize, 2, 3, 4, 5, 6, 7] {
             pin_batch(&spec, n, 2);
         }
     }
@@ -100,13 +97,15 @@ fn lane_members_match_standalone_bitwise_moist() {
 
 #[test]
 fn lane_admit_and_retire_mid_run_is_deterministic() {
-    // 5 members through 3 lanes with different step targets: lane
-    // occupancy shifts every few steps (3-wide ragged sweeps, then 2,
-    // then 1) as members retire and queued members are admitted. Every
-    // member must still match its standalone trajectory bitwise.
+    // 7 members through 5 lanes with different step targets: occupancy
+    // shifts every few steps (a full sweep plus a 1-member tail, then a
+    // bare full sweep, then member-serial batches) as members retire and
+    // queued members are admitted. Every member must still match its
+    // standalone trajectory bitwise.
     let spec = shrunk("resting", 6);
-    let jobs: [(u64, usize); 5] = [(11, 2), (22, 4), (33, 3), (44, 2), (55, 3)];
-    let mut ens = Ensemble::new(spec.clone(), lane_cfg(3));
+    let jobs: [(u64, usize); 7] =
+        [(11, 2), (22, 4), (33, 3), (44, 2), (55, 3), (66, 2), (77, 4)];
+    let mut ens = Ensemble::new(spec.clone(), lane_cfg(5));
     for &(seed, steps) in &jobs {
         ens.submit(seed, steps);
     }
@@ -126,9 +125,9 @@ fn lane_admit_and_retire_mid_run_is_deterministic() {
 
 #[test]
 fn poisoned_lane_never_contaminates_its_sweep_neighbors() {
-    // Three members share one lane sweep; member 1's hook injects NaN into
+    // Four members share one lane sweep; member 1's hook injects NaN into
     // both its wind field (so the NaN rides the shared V4F64 tiles through
-    // the batched RK and hypervis kernels next to two healthy lanes) and
+    // the batched RK and hypervis kernels next to three healthy lanes) and
     // its vapour tracer (so the step's checks deterministically reject the
     // member — the NaN reaches dp3d through the RK tendencies and the
     // vertical remap refuses the column). The lane kernels have no
@@ -137,8 +136,8 @@ fn poisoned_lane_never_contaminates_its_sweep_neighbors() {
     // finishes bit-identical to a clean standalone run.
     let spec = shrunk("aquaplanet", 6);
     let steps = 3usize;
-    let mut ens = Ensemble::new(spec.clone(), lane_cfg(3));
-    let ids: Vec<u64> = (5..8).map(|seed| ens.submit(seed, steps)).collect();
+    let mut ens = Ensemble::new(spec.clone(), lane_cfg(4));
+    let ids: Vec<u64> = (5..9).map(|seed| ens.submit(seed, steps)).collect();
     let poisoned_id = ids[1];
     let mut poisoned = false;
     let mut calls = 0usize;
@@ -157,7 +156,7 @@ fn poisoned_lane_never_contaminates_its_sweep_neighbors() {
     }
     assert!(poisoned, "hook never fired");
     let reports = ens.collect();
-    assert_eq!(reports.len(), 3);
+    assert_eq!(reports.len(), 4);
     for (r, (i, &id)) in reports.iter().zip(ids.iter().enumerate()) {
         assert_eq!(r.id, id);
         assert_eq!(r.status, MemberStatus::Finished);

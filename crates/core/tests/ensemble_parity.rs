@@ -1,6 +1,6 @@
 //! The ensemble engine's bitwise contract: member m of an N-member batch
 //! is bit-for-bit equal to a standalone run of the same scenario and seed —
-//! for every batch width the chunked kernels take (1, 2, 4), across
+//! for batch widths 1, 2 (member-serial) and 4 (one lane sweep), across
 //! registry scenarios, with members admitted and retired mid-run, and
 //! after a member-only rollback.
 

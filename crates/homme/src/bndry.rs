@@ -503,7 +503,7 @@ impl ExchangePlan {
     }
 }
 
-/// Per-point gather schedule for the distributed task-graph step: the same
+/// Per-point gather schedule for a barrier-free distributed DSS: the same
 /// DSS [`ExchangePlan::finish_aggregated`] computes in bulk, re-expressed
 /// so one element can assemble its own points the moment its local
 /// neighbours and the relevant peer payloads are in — no rank-wide barrier.

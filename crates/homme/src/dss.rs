@@ -462,13 +462,14 @@ impl Dss {
     }
 }
 
-/// Per-element DSS accumulation plan for the task-graph step: for every
-/// (element, point) it lists all sharing (element, point) pairs — itself
-/// included — in the *canonical* order [`Dss::apply_flat`] accumulates
-/// them (element-ascending, point-ascending), with their spheremp weights.
-/// Summing a point's sharers in this fixed order and scaling by the
-/// point's inverse mass reproduces the barrier DSS bitwise, no matter
-/// which task performs the gather or when its inputs arrived.
+/// Per-element DSS accumulation plan, the basis of a barrier-free,
+/// element-parallel DSS: for every (element, point) it lists all sharing
+/// (element, point) pairs — itself included — in the *canonical* order
+/// [`Dss::apply_flat`] accumulates them (element-ascending,
+/// point-ascending), with their spheremp weights. Summing a point's sharers
+/// in this fixed order and scaling by the point's inverse mass reproduces
+/// the barrier DSS bitwise, no matter which task performs the gather or
+/// when its inputs arrived.
 #[derive(Debug, Clone)]
 pub struct DssGather {
     /// CSR offsets, one slot per (element, point): `nelem * NPTS + 1`.

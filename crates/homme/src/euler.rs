@@ -128,7 +128,7 @@ pub fn euler_substep_flat(
 /// workers; the call is allocation-free and bitwise identical to
 /// [`euler_substep_flat`] followed by the driver's combination loop.
 #[allow(clippy::too_many_arguments)]
-pub fn euler_stage_flat_blocked(
+pub fn euler_stage_arena_blocked(
     bops: &[BlockedOps],
     dims: Dims,
     sched: &ElemScheduler,

@@ -11,9 +11,6 @@
 
 use crate::deriv::ElemOps;
 use crate::dss::Dss;
-use crate::kernels::blocked::{
-    laplace_levels_blocked, vlaplace_levels_blocked, BlockedOps, KernelPath,
-};
 use crate::sched::{ArenaMut, ElemScheduler};
 use cubesphere::NPTS;
 
@@ -122,7 +119,7 @@ impl std::error::Error for HypervisError {}
 /// across the two Laplacian passes and the coefficient applies; the host
 /// analogue is this plan plus the fused kernels in
 /// [`crate::kernels::blocked`]. The geometry itself already lives hoisted
-/// in [`BlockedOps`]; what the plan adds is
+/// in [`crate::kernels::blocked::BlockedOps`]; what the plan adds is
 ///
 /// * the forward-Euler damping coefficients per level, **negated** so the
 ///   fused DSS-and-apply sweep ([`Dss::apply_flat_scaled_add`]) is a single
@@ -333,114 +330,6 @@ pub fn vlaplace_flat(
     }
     dss.apply_flat(u, nlev);
     dss.apply_flat(v, nlev);
-}
-
-/// Blocked flat-arena `lap(f)` with DSS — the 4-wide image of
-/// [`laplace_flat`], bitwise identical to it.
-pub fn laplace_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    let fl = nlev * NPTS;
-    {
-        let arena = ArenaMut::new(field);
-        sched.run(bops.len(), &|_w, e| {
-            // Disjoint per-element window of the arena.
-            let f = unsafe { arena.slice(e * fl, fl) };
-            laplace_levels_blocked(&bops[e], nlev, f);
-        });
-    }
-    dss.apply_flat(field, nlev);
-}
-
-/// Blocked flat-arena weak biharmonic with DSS after each Laplacian.
-pub fn biharmonic_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    laplace_flat_blocked(bops, dss, sched, nlev, field);
-    laplace_flat_blocked(bops, dss, sched, nlev, field);
-}
-
-/// Blocked flat-arena vector Laplacian with DSS for `(u, v)` per level.
-pub fn vlaplace_flat_blocked(
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-) {
-    let fl = nlev * NPTS;
-    {
-        let au = ArenaMut::new(u);
-        let av = ArenaMut::new(v);
-        sched.run(bops.len(), &|_w, e| {
-            let ue = unsafe { au.slice(e * fl, fl) };
-            let ve = unsafe { av.slice(e * fl, fl) };
-            vlaplace_levels_blocked(&bops[e], nlev, ue, ve);
-        });
-    }
-    dss.apply_flat(u, nlev);
-    dss.apply_flat(v, nlev);
-}
-
-/// Dispatch `lap(f)` to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn laplace_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => laplace_flat(ops, dss, sched, nlev, field),
-        KernelPath::Blocked => laplace_flat_blocked(bops, dss, sched, nlev, field),
-    }
-}
-
-/// Dispatch the weak biharmonic to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn biharmonic_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    field: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => biharmonic_flat(ops, dss, sched, nlev, field),
-        KernelPath::Blocked => biharmonic_flat_blocked(bops, dss, sched, nlev, field),
-    }
-}
-
-/// Dispatch the vector Laplacian to the scalar or blocked flat path.
-#[allow(clippy::too_many_arguments)]
-pub fn vlaplace_flat_path(
-    path: KernelPath,
-    ops: &[ElemOps],
-    bops: &[BlockedOps],
-    dss: &mut Dss,
-    sched: &ElemScheduler,
-    nlev: usize,
-    u: &mut [f64],
-    v: &mut [f64],
-) {
-    match path {
-        KernelPath::Scalar => vlaplace_flat(ops, dss, sched, nlev, u, v),
-        KernelPath::Blocked => vlaplace_flat_blocked(bops, dss, sched, nlev, u, v),
-    }
 }
 
 #[cfg(test)]

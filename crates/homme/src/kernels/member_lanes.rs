@@ -1,14 +1,14 @@
 //! Member-lane kernels: the four `V4F64` lanes are four ensemble members.
 //!
-//! PR 9's member *chunking* (`vlaplace_scalars_members_blocked`) batched
-//! members at the coefficient-walk level but kept each member's fields in
-//! row-vector form — at M = 4 the per-output working set
-//! (`[[V4F64; NP]; M]` accumulators) spills out of the 16 ymm registers and
-//! the batched walk runs slower per member than the serial one (measured:
-//! 118 ms/member at M = 4 vs 60 serial on the full-step bench). This module
-//! is ROADMAP item 4's lane-transposed alternative: fields live in
-//! **member tiles** `[V4F64]` indexed by `(level, point)` where lane `m`
-//! holds member `m`'s value at that grid point. Consequences:
+//! Batching members at the coefficient-walk level while keeping each
+//! member's fields in row-vector form does not scale: at M = 4 the
+//! per-output working set (`[[V4F64; NP]; M]` accumulators) spills out of
+//! the 16 ymm registers and the batched walk runs slower per member than
+//! the serial one (measured: 118 ms/member at M = 4 vs 60 serial on the
+//! full-step bench; DESIGN.md §5.9). This module is the lane-transposed
+//! design instead: fields live in **member tiles** `[V4F64]` indexed by
+//! `(level, point)` where lane `m` holds member `m`'s value at that grid
+//! point. Consequences:
 //!
 //! * Every operator coefficient and metric term is the *same* for all four
 //!   lanes, so it enters the kernel as a scalar splat from the existing
@@ -37,13 +37,13 @@ use cubesphere::consts::{CP, RD};
 use cubesphere::{NP, NPTS};
 use sw26010::{deinterleave4, interleave4, V4F64};
 
-/// Which member-batching strategy `Dycore::apply_hypervis_members` and the
-/// ensemble engine dispatch to when several members are resident.
+/// The member-batching family of `Dycore::apply_hypervis_members` and the
+/// ensemble engine. Lane-transposed member tiles (full groups of four,
+/// ragged tails member-serial) are the only family; the type remains only
+/// so the `perfbench` crate, which assigns `EnsembleConfig::member_kernel_path`
+/// to `Dycore::member_kernels`, compiles. No other value can be selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemberKernelPath {
-    /// PR 9's register-blocked member chunking (pairs at a time), retained
-    /// as the A/B baseline.
-    Chunked,
     /// Lane-transposed member tiles — lanes are members (this module).
     #[default]
     Lanes,
@@ -82,8 +82,7 @@ pub fn scatter_member_tile(tile: &[V4F64], dsts: &mut [&mut [f64]]) {
 /// order — so lane `m` runs member `m`'s standalone scalar sequence and the
 /// committed bits match the single-member kernel per member. The per-output
 /// working set is `3 + 2·NS` accumulators plus two splats: no register
-/// spill at any batch width, which is precisely what the M = 4 chunked
-/// variant could not achieve.
+/// spill at any batch width, unlike a row-batched M = 4 layout.
 #[inline]
 pub fn vlaplace_scalars_member_lanes<const NS: usize>(
     bop: &BlockedOps,

@@ -39,7 +39,6 @@ pub mod rhs;
 pub mod sched;
 pub mod seedref;
 pub mod state;
-pub mod taskgraph;
 pub mod vert;
 pub mod workspace;
 
@@ -52,12 +51,11 @@ pub use health::{DegradePolicy, HealthConfig, HealthError, PhysicsFault, StepHea
 pub use hypervis::{ElemHypervisPlan, HypervisConfig, HypervisError, MIN_GLL_GAP_METERS};
 pub use kernels::blocked::{BlockedOps, KernelPath, StageCombine};
 pub use kernels::member_lanes::MemberKernelPath;
-pub use prim::{Dycore, DycoreConfig, KG5_COEFFS};
+pub use prim::{Dycore, DycoreConfig, StepPath, KG5_COEFFS};
 pub use remap::{ElemRemapPlan, RemapApplyScratch, RemapError};
 pub use rhs::{ElemTend, Rhs, RhsScratch};
 pub use sched::ElemScheduler;
 pub use seedref::SeedStepper;
 pub use state::{Dims, ElemMut, ElemRef, State};
-pub use taskgraph::{Neighbors, PipelineStage, StepPath, TaskGraph};
 pub use vert::VertCoord;
 pub use workspace::{DistWorkspace, EnsembleWorkspace, StepWorkspace};

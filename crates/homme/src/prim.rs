@@ -15,23 +15,19 @@
 //! preserved in [`crate::seedref`] as the equivalence oracle.
 
 use crate::deriv::{build_ops, ElemOps};
-use crate::dss::{Dss, DssGather};
-use crate::euler::{
-    euler_stage_flat_blocked, euler_substep_flat, limit_nonnegative, limit_tracer_arena,
-    tracer_flux_divergence,
-};
+use crate::dss::Dss;
+use crate::euler::{euler_stage_arena_blocked, euler_substep_flat, limit_tracer_arena};
 use crate::health::{
     commit_scan, scan_stage, DegradePolicy, HealthConfig, HealthError, StepHealth, TRACER_STAGE,
 };
 use crate::hypervis::{
-    biharmonic_flat_path, laplace_flat_path, vlaplace_flat_path, ElemHypervisPlan,
-    HypervisConfig, MIN_GLL_GAP_METERS,
+    biharmonic_flat, laplace_flat, vlaplace_flat, ElemHypervisPlan, HypervisConfig,
+    MIN_GLL_GAP_METERS,
 };
 use crate::kernels::blocked::{
-    build_blocked_ops, element_rhs_apply_blocked, euler_stage_element_blocked,
-    hypervis_pass_element_blocked, hypervis_pass_element_members_blocked,
-    hypervis_pass_levels_blocked, hypervis_pass_levels_members_blocked,
-    sponge_pass_element_blocked, BlockedOps, KernelPath, StageCombine,
+    build_blocked_ops, element_rhs_apply_blocked, hypervis_pass_element_blocked,
+    hypervis_pass_levels_blocked, sponge_pass_element_blocked, BlockedOps, KernelPath,
+    StageCombine,
 };
 use crate::kernels::blocked::remap_element_planned;
 use crate::kernels::member_lanes::{
@@ -42,9 +38,8 @@ use crate::remap::{remap_element_scalar, RemapError};
 use crate::rhs::{element_rhs_raw, Rhs};
 use crate::sched::{ArenaMut, ElemScheduler};
 use crate::state::{Dims, State};
-use crate::taskgraph::{Neighbors, PipelineStage, StepPath};
 use crate::vert::VertCoord;
-use crate::workspace::{DynFields, MemberLanes, StepWorkspace, WorkerScratch, EMPTY_SCAN};
+use crate::workspace::{DynFields, MemberLanes, StepWorkspace, WorkerScratch};
 use cubesphere::{CubedSphere, NPTS};
 use std::sync::Mutex;
 use sw26010::V4F64;
@@ -52,6 +47,17 @@ use sw26010::V4F64;
 /// Kinnmark–Gray 5-stage RK coefficients: stage `i` computes
 /// `u_i = u_0 + c_i dt RHS(u_{i-1})`.
 pub const KG5_COEFFS: [f64; 5] = [1.0 / 5.0, 1.0 / 5.0, 1.0 / 3.0, 1.0 / 2.0, 1.0];
+
+/// The step schedule of [`Dycore::step`]. The bulk-synchronous pipeline
+/// (a barrier DSS after every stage) is the only schedule; the type remains
+/// only so the `perfbench` crate, which asserts `step_path ==
+/// StepPath::Bulk`, compiles. No other value can be selected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StepPath {
+    /// Stage-by-stage pipeline with a barrier DSS after every stage.
+    #[default]
+    Bulk,
+}
 
 /// Dycore configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,23 +108,12 @@ pub struct Dycore {
     /// Which kernel implementation the step pipeline dispatches to
     /// (blocked by default; the scalar path is the parity oracle).
     pub kernels: KernelPath,
-    /// Which member-batched kernel family the ensemble drivers use when
-    /// several members are resident: the lane-transposed tiles (default —
-    /// `V4F64` lanes are members, coefficients splat) or the pair-wise
-    /// chunked row kernels kept as the A/B baseline. Single-member calls
-    /// always take the standalone path; the scalar [`KernelPath`] ignores
-    /// this knob entirely.
+    /// The member-batched kernel family (single-variant; nothing reads it —
+    /// see [`MemberKernelPath`]).
     pub member_kernels: MemberKernelPath,
-    /// Which step schedule drives the pipeline: bulk-synchronous stage
-    /// barriers, or the message-driven element task graph (bitwise
-    /// identical results; mirrors [`KernelPath`] for the kernel layer).
+    /// The step schedule (single-variant; nothing reads it — see
+    /// [`StepPath`]).
     pub step_path: StepPath,
-    /// Seed keying the task graph's stage-0 injection order (0 = element
-    /// order). Shuffling it exercises arbitrary task arrival orders
-    /// without changing the answer.
-    pub taskgraph_seed: u64,
-    gather: DssGather,
-    neighbors: Neighbors,
     bops: Vec<BlockedOps>,
     ws: StepWorkspace,
     steps_since_remap: usize,
@@ -152,8 +147,6 @@ impl Dycore {
         let ops = build_ops(&grid);
         let bops = build_blocked_ops(&ops);
         let dss = Dss::new(&grid);
-        let gather = DssGather::new(&dss);
-        let neighbors = Neighbors::from_gids(grid.nelem(), |e| dss.element_gids(e));
         let vert = VertCoord::standard(dims.nlev, ptop);
         let rhs = Rhs::new(vert, dims);
         let sched = ElemScheduler::new(default_threads());
@@ -180,9 +173,6 @@ impl Dycore {
             kernels: KernelPath::default(),
             member_kernels: MemberKernelPath::default(),
             step_path: StepPath::default(),
-            taskgraph_seed: 0,
-            gather,
-            neighbors,
             bops,
             ws,
             steps_since_remap: 0,
@@ -283,110 +273,7 @@ impl Dycore {
         let fl = dims.field_len();
         ws.hv_plan.build(&hv, cfg.dt, subcycles, nlev, ops)?;
         if let KernelPath::Blocked = kernels {
-            let plan = &ws.hv_plan;
-            let nelem = ops.len();
-            // Top-of-model sponge: ordinary Laplacian damping on the top
-            // layers (sign +nu_top lap, i.e. diffusion). The fused element
-            // pass reads the state directly (no staging copy) and the
-            // damping increment rides the DSS scatter.
-            if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
-                let ks = plan.ks;
-                let sl = ks * NPTS;
-                {
-                    let ou = ArenaMut::new(&mut ws.sponge_u);
-                    let ov = ArenaMut::new(&mut ws.sponge_v);
-                    let ot = ArenaMut::new(&mut ws.sponge_t);
-                    let (su, sv, st): (&[f64], &[f64], &[f64]) =
-                        (&state.u, &state.v, &state.t);
-                    sched.run(nelem, &|_w, e| {
-                        let (ou, ov, ot) = unsafe {
-                            (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
-                        };
-                        sponge_pass_element_blocked(
-                            &bops[e],
-                            ks,
-                            &su[e * fl..e * fl + sl],
-                            &sv[e * fl..e * fl + sl],
-                            &st[e * fl..e * fl + sl],
-                            ou,
-                            ov,
-                            ot,
-                        );
-                    });
-                }
-                dss.apply_flat_scaled_add(&ws.sponge_u, ks, &plan.sponge, &mut state.u, fl);
-                dss.apply_flat_scaled_add(&ws.sponge_v, ks, &plan.sponge, &mut state.v, fl);
-                dss.apply_flat_scaled_add(&ws.sponge_t, ks, &plan.sponge, &mut state.t, fl);
-            }
-            for _ in 0..subcycles {
-                // First Laplacian of (u, v, T, dp3d): one fused coefficient
-                // walk per element, straight from the state into the hyp
-                // arenas (the per-subcycle state copy is gone).
-                {
-                    let ou = ArenaMut::new(&mut ws.hyp.u);
-                    let ov = ArenaMut::new(&mut ws.hyp.v);
-                    let ot = ArenaMut::new(&mut ws.hyp.t);
-                    let odp = ArenaMut::new(&mut ws.hyp.dp3d);
-                    let (su, sv, st, sdp): (&[f64], &[f64], &[f64], &[f64]) =
-                        (&state.u, &state.v, &state.t, &state.dp3d);
-                    sched.run(nelem, &|_w, e| {
-                        let r = e * fl..(e + 1) * fl;
-                        let (ou, ov, ot, odp) = unsafe {
-                            (
-                                ou.slice(e * fl, fl),
-                                ov.slice(e * fl, fl),
-                                ot.slice(e * fl, fl),
-                                odp.slice(e * fl, fl),
-                            )
-                        };
-                        hypervis_pass_element_blocked(
-                            &bops[e],
-                            nlev,
-                            &su[r.clone()],
-                            &sv[r.clone()],
-                            &st[r.clone()],
-                            &sdp[r],
-                            ou,
-                            ov,
-                            ot,
-                            odp,
-                        );
-                    });
-                }
-                dss.apply_flat4(
-                    [&mut ws.hyp.u, &mut ws.hyp.v, &mut ws.hyp.t, &mut ws.hyp.dp3d],
-                    nlev,
-                );
-                // Second Laplacian in place (del^4 = lap(lap)).
-                {
-                    let au = ArenaMut::new(&mut ws.hyp.u);
-                    let av = ArenaMut::new(&mut ws.hyp.v);
-                    let at = ArenaMut::new(&mut ws.hyp.t);
-                    let adp = ArenaMut::new(&mut ws.hyp.dp3d);
-                    sched.run(nelem, &|_w, e| {
-                        let (u, v, t, dp) = unsafe {
-                            (
-                                au.slice(e * fl, fl),
-                                av.slice(e * fl, fl),
-                                at.slice(e * fl, fl),
-                                adp.slice(e * fl, fl),
-                            )
-                        };
-                        hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp);
-                    });
-                }
-                // Final DSS fused with the forward-Euler apply: the plan's
-                // negated `dt_sub * nu` coefficients turn `x -= c * lap`
-                // into the scatter's `x += (-c) * lap` bitwise-identically,
-                // and all four fields ride one walk of the assembly map.
-                dss.apply_flat_scaled_add4(
-                    [&ws.hyp.u, &ws.hyp.v, &ws.hyp.t, &ws.hyp.dp3d],
-                    nlev,
-                    [&plan.damp_u, &plan.damp_u, &plan.damp_u, &plan.damp_dp],
-                    [&mut state.u, &mut state.v, &mut state.t, &mut state.dp3d],
-                    fl,
-                );
-            }
+            hypervis_blocked(sched, dss, bops, ws, &hv, nlev, fl, state, subcycles);
             return Ok(());
         }
         // Top-of-model sponge: ordinary Laplacian damping on the top
@@ -399,8 +286,8 @@ impl Dycore {
                 ws.sponge_v[e * sl..(e + 1) * sl].copy_from_slice(&state.v[e * fl..e * fl + sl]);
                 ws.sponge_t[e * sl..(e + 1) * sl].copy_from_slice(&state.t[e * fl..e * fl + sl]);
             }
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, ks, &mut ws.sponge_u, &mut ws.sponge_v);
-            laplace_flat_path(kernels, ops, bops, dss, sched, ks, &mut ws.sponge_t);
+            vlaplace_flat(ops, dss, sched, ks, &mut ws.sponge_u, &mut ws.sponge_v);
+            laplace_flat(ops, dss, sched, ks, &mut ws.sponge_t);
             for e in 0..ops.len() {
                 for (k_rel, damp) in (0..ks).map(|k| (k, 1.0 / (1 << k) as f64)) {
                     for p in 0..NPTS {
@@ -418,10 +305,10 @@ impl Dycore {
         for _ in 0..subcycles {
             ws.hyp.copy_from_state(state);
             // del^4 via two Laplacians with DSS (vector Laplacian for wind).
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            vlaplace_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
-            biharmonic_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.t);
-            biharmonic_flat_path(kernels, ops, bops, dss, sched, nlev, &mut ws.hyp.dp3d);
+            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
+            vlaplace_flat(ops, dss, sched, nlev, &mut ws.hyp.u, &mut ws.hyp.v);
+            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.t);
+            biharmonic_flat(ops, dss, sched, nlev, &mut ws.hyp.dp3d);
             for (x, l) in state.u.iter_mut().zip(&ws.hyp.u) {
                 *x -= dt_sub * hv.nu * l;
             }
@@ -440,25 +327,21 @@ impl Dycore {
 
     /// Member-batched hyperviscosity: apply the subcycled biharmonic
     /// operator to the listed `members` of `states` with the step plan
-    /// built **once** and every coefficient walk shared across members
-    /// (ROADMAP item 4's "lane dimension = member"). With
-    /// [`MemberKernelPath::Lanes`] (the default), each *full* group of four
+    /// built **once** and shared by every member. Each *full* group of four
     /// members runs on lane-transposed tiles — one `V4F64` per grid value
-    /// whose lanes are members, coefficients splat — so the per-output
-    /// working set never spills regardless of batch width; the ragged tail
-    /// (N mod 4 members) rides the width-proportional chunk kernels, since
-    /// a partial lane group pays the whole 4-wide arithmetic.
-    /// [`MemberKernelPath::Chunked`] keeps the pair-wise row kernels for
-    /// everything as the A/B baseline (wider row chunks spill registers —
-    /// see the chunk-width comment in the body).
+    /// whose lanes are members, coefficients splat — so one coefficient
+    /// walk and one DSS assembly walk serve the whole group. The ragged
+    /// tail (N mod 4 members) runs member-serially through the standalone
+    /// blocked sweep against the same plan, since a partial lane group
+    /// pays the whole 4-wide arithmetic.
     ///
     /// `members` must be strictly increasing indices into `states`, at most
     /// `ens.lanes()` of them. Member `m`'s result is bitwise identical to
-    /// [`Dycore::apply_hypervis_n`] on member `m` alone: the batched kernels
-    /// keep each member's accumulation order unchanged, the shared
+    /// [`Dycore::apply_hypervis_n`] on member `m` alone: lane `m` replays
+    /// the member's standalone scalar sequence, the shared
     /// [`ElemHypervisPlan`] depends only on the grid and step configuration
-    /// (never on member state), and the per-member DSS applies run in the
-    /// standalone order. On the scalar kernel path this falls back to the
+    /// (never on member state), and the per-lane DSS keeps the standalone
+    /// accumulation order. On the scalar kernel path this falls back to the
     /// per-member oracle loop.
     ///
     /// # Errors
@@ -487,8 +370,6 @@ impl Dycore {
             }
             return Ok(());
         }
-        let use_lanes =
-            matches!(self.member_kernels, MemberKernelPath::Lanes) && members.len() >= 4;
         let Dycore { ops, dss, dims, cfg, sched, ws, bops, .. } = self;
         let nlev = dims.nlev;
         let fl = dims.field_len();
@@ -498,66 +379,18 @@ impl Dycore {
         // so the raw-pointer reborrows below hand out non-aliasing `&mut`s.
         let base = states.as_mut_ptr();
         let mut done = 0;
-        if use_lanes {
-            // Lane-transposed path: sweep members in *full* groups of four,
-            // each sweep gathering its members into the shared lane tiles.
-            // A partial group would still pay the full 4-wide vector
-            // arithmetic (the dead lanes compute too — a 2-member lane
-            // sweep costs as much as a 4-member one), so the ragged tail
-            // falls through to the width-proportional chunk kernels below;
-            // the duplicated-dead-lane tail path stays available (and
-            // pinned by the kernel tests) for targets where a lane sweep
-            // is cheaper than a chunk pass at any width.
-            while members.len() - done >= 4 {
-                let idx = &members[done..done + 4];
-                let chunk: [&mut State; 4] =
-                    core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
-                hypervis_members_lanes::<4>(
-                    sched, dss, bops, &ws.hv_plan, &hv, nlev, fl, nelem, &mut ens.tiles, chunk,
-                    subcycles,
-                );
-                done += 4;
-            }
-            if done == members.len() {
-                return Ok(());
-            }
+        while members.len() - done >= 4 {
+            let idx = &members[done..done + 4];
+            let group: [&mut State; 4] =
+                core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
+            hypervis_members_lanes::<4>(
+                sched, dss, bops, &ws.hv_plan, &hv, nlev, fl, nelem, &mut ens.tiles, group,
+                subcycles,
+            );
+            done += 4;
         }
-        while done < members.len() {
-            let left = members.len() - done;
-            // Chunk width is capped at 2: the M=4 variant keeps four members'
-            // [[V4F64; NP]; M] working sets live through each fused Laplacian
-            // pass, which spills out of the 16 ymm registers and runs ~2x
-            // slower *per member* than M=2 on this target (measured on the
-            // ne4 aquaplanet: 118 ms/member at M=4 vs 55 ms at M=2 vs 60 ms
-            // serial). M=2 shares the coefficient walk without spilling.
-            let take = if left >= 2 { 2 } else { 1 };
-            let idx = &members[done..done + take];
-            let (lanes_head, _) = ens.lanes.split_at_mut(done + take);
-            let lanes = &mut lanes_head[done..];
-            match take {
-                2 => {
-                    let chunk: [&mut State; 2] =
-                        core::array::from_fn(|m| unsafe { &mut *base.add(idx[m]) });
-                    let mut it = lanes.iter_mut();
-                    let hyps: [&mut DynFields; 2] = core::array::from_fn(|_| it.next().unwrap());
-                    hypervis_members_chunk::<2>(
-                        sched, dss, bops, &ws.hv_plan, &hv, nlev, fl, nelem,
-                        (&mut ws.sponge_u, &mut ws.sponge_v, &mut ws.sponge_t),
-                        chunk, hyps, subcycles,
-                    );
-                }
-                _ => {
-                    let chunk: [&mut State; 1] = [unsafe { &mut *base.add(idx[0]) }];
-                    let mut it = lanes.iter_mut();
-                    let hyps: [&mut DynFields; 1] = core::array::from_fn(|_| it.next().unwrap());
-                    hypervis_members_chunk::<1>(
-                        sched, dss, bops, &ws.hv_plan, &hv, nlev, fl, nelem,
-                        (&mut ws.sponge_u, &mut ws.sponge_v, &mut ws.sponge_t),
-                        chunk, hyps, subcycles,
-                    );
-                }
-            }
-            done += take;
+        for &m in &members[done..] {
+            hypervis_blocked(sched, dss, bops, ws, &hv, nlev, fl, &mut states[m], subcycles);
         }
         Ok(())
     }
@@ -570,9 +403,8 @@ impl Dycore {
     /// bitwise identical to [`Dycore::dynamics_step`] on member `m` alone:
     /// lane `m` replays the blocked kernel's exact per-member scalar
     /// sequence and the lane DSS keeps the canonical accumulation order
-    /// per lane. Falls back to the per-member step on the scalar kernel
-    /// path, under [`MemberKernelPath::Chunked`], or with fewer than two
-    /// members.
+    /// per lane. The ragged tail (N mod 4 members) and every member on the
+    /// scalar kernel path take the per-member step.
     pub fn dynamics_step_members(
         &mut self,
         states: &mut [State],
@@ -586,11 +418,8 @@ impl Dycore {
             members.windows(2).all(|w| w[0] < w[1]) && *members.last().unwrap() < states.len(),
             "members must be strictly increasing indices into states"
         );
-        let use_lanes = matches!(self.kernels, KernelPath::Blocked)
-            && matches!(self.member_kernels, MemberKernelPath::Lanes)
-            && members.len() >= 4;
         let mut done = 0;
-        if use_lanes {
+        if let KernelPath::Blocked = self.kernels {
             let dt = self.cfg.dt;
             let Dycore { dss, rhs, dims, sched, ws, bops, .. } = self;
             let nlev = dims.nlev;
@@ -642,19 +471,19 @@ impl Dycore {
                 // Fused stages: advect + SSP combine in one pass, with the
                 // mass fluxes hoisted across the tracer loop.
                 // Stage 1: q1 = q0 + dt L(q0)
-                euler_stage_flat_blocked(
+                euler_stage_arena_blocked(
                     bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.qdp0, &ws.qdp0, dt,
                     StageCombine::Replace, &mut ws.q1,
                 );
                 finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q1);
                 // Stage 2: q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
-                euler_stage_flat_blocked(
+                euler_stage_arena_blocked(
                     bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q1, &ws.qdp0, dt,
                     StageCombine::Ssp2, &mut ws.q2,
                 );
                 finish_tracer_stage(ops, dss, *dims, cfg.limiter, &mut ws.q2);
                 // Stage 3: q^{n+1} = 1/3 q0 + 2/3 (q2 + dt L(q2))
-                euler_stage_flat_blocked(
+                euler_stage_arena_blocked(
                     bops, *dims, sched, &state.u, &state.v, &state.dp3d, &ws.q2, &ws.qdp0, dt,
                     StageCombine::Ssp3, &mut state.qdp,
                 );
@@ -742,22 +571,11 @@ impl Dycore {
     /// One full model step: dynamics RK + hyperviscosity + tracer advection
     /// + (every `rsplit` steps) vertical remap. Heap-allocation-free.
     pub fn step(&mut self, state: &mut State) {
-        match self.step_path {
-            StepPath::Bulk => {
-                self.dynamics_step(state);
-                // The unguarded driver has no rollback path; a grid the
-                // hyperviscosity plan rejects is fatal here.
-                self.apply_hypervis(state).expect("hyperviscosity plan rejected");
-                self.euler_step_tracers(state);
-            }
-            StepPath::TaskGraph => {
-                let subcycles = self.hypervis_subcycles();
-                // Without health guards the only pipeline error left is a
-                // hyperviscosity plan rejection, fatal like the bulk arm.
-                self.taskgraph_pipeline(state, subcycles, None)
-                    .expect("hyperviscosity plan rejected");
-            }
-        }
+        self.dynamics_step(state);
+        // The unguarded driver has no rollback path; a grid the
+        // hyperviscosity plan rejects is fatal here.
+        self.apply_hypervis(state).expect("hyperviscosity plan rejected");
+        self.euler_step_tracers(state);
         self.steps_since_remap += 1;
         if self.steps_since_remap >= self.cfg.rsplit {
             // The unguarded driver has no rollback path to route the
@@ -792,34 +610,22 @@ impl Dycore {
         health.degraded = splits > 1;
         self.cfg.dt = full_dt / splits as f64;
         for _ in 0..splits {
-            match self.step_path {
-                StepPath::Bulk => {
-                    if let Err(e) = self.dynamics_step_guarded(state, &mut health) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    let subcycles = self.hypervis_subcycles() + extra;
-                    if let Err(e) = self.apply_hypervis_n(state, subcycles) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                    self.euler_step_tracers(state);
-                    // Post-advection scan covers the tracer arenas, which
-                    // the RK stage scans never see.
-                    let scan =
-                        scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-                    if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                }
-                StepPath::TaskGraph => {
-                    let subcycles = self.hypervis_subcycles() + extra;
-                    if let Err(e) = self.taskgraph_pipeline(state, subcycles, Some(&mut health)) {
-                        self.cfg.dt = full_dt;
-                        return Err(e);
-                    }
-                }
+            if let Err(e) = self.dynamics_step_guarded(state, &mut health) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            let subcycles = self.hypervis_subcycles() + extra;
+            if let Err(e) = self.apply_hypervis_n(state, subcycles) {
+                self.cfg.dt = full_dt;
+                return Err(e);
+            }
+            self.euler_step_tracers(state);
+            // Post-advection scan covers the tracer arenas, which the RK
+            // stage scans never see.
+            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
+            if let Err(e) = commit_scan(&mut health, &self.health, TRACER_STAGE, scan) {
+                self.cfg.dt = full_dt;
+                return Err(e);
             }
         }
         self.cfg.dt = full_dt;
@@ -872,602 +678,6 @@ impl Dycore {
         state.v.copy_from_slice(&ws.stage.v);
         state.t.copy_from_slice(&ws.stage.t);
         state.dp3d.copy_from_slice(&ws.stage.dp3d);
-        Ok(())
-    }
-
-    /// One complete pipeline pass — RK dynamics, sponge, hyperviscosity
-    /// subcycles and tracer advection (the vertical remap stays a separate
-    /// phase) — executed as a single task-graph run: per-element compute
-    /// and canonical-order gather substages advance the moment their
-    /// neighbor contributions land, instead of marching through stage
-    /// barriers. Bitwise identical to the bulk pipeline for any worker
-    /// count and any seed order (DESIGN.md §5.6).
-    ///
-    /// With `health`, RK stage scans accumulate per worker inside the
-    /// gathers and commit in bulk stage order afterwards, so the first
-    /// error (stage and value) matches the bulk path's. On `Err` the
-    /// state may hold a fully advanced unvetted pipeline result where the
-    /// bulk path would have stopped mid-step; either way the contract is
-    /// "restore from a checkpoint before continuing".
-    fn taskgraph_pipeline(
-        &mut self,
-        state: &mut State,
-        subcycles: usize,
-        health: Option<&mut StepHealth>,
-    ) -> Result<(), HealthError> {
-        let seed = self.taskgraph_seed;
-        let hcfg = self.health;
-        let hv = self.cfg.hypervis;
-        let hyp_on = !(hv.nu == 0.0 && hv.nu_p == 0.0);
-        let checked = health.is_some();
-        let Dycore { ops, rhs, dims, cfg, sched, ws, kernels, bops, gather, neighbors, .. } = self;
-        let kernels = *kernels;
-        let dims = *dims;
-        let nlev = dims.nlev;
-        let qsize = dims.qsize;
-        let fl = dims.field_len();
-        let tl = dims.tracer_len();
-        let nelem = ops.len();
-        let ptop = rhs.vert.ptop();
-        let dt = cfg.dt;
-        let limiter = cfg.limiter;
-        let ks = hv.sponge_layers.min(nlev);
-        let sl = ks * NPTS;
-
-        let StepWorkspace {
-            stage,
-            next,
-            hyp,
-            qdp0,
-            q1,
-            q2,
-            workers,
-            graph,
-            raw0,
-            raw1,
-            rawcap,
-            stages,
-            scans,
-            hv_plan,
-            ..
-        } = ws;
-        // The pipeline reads the same hoisted plan as the bulk drivers; a
-        // corrupt element aborts before any stage runs.
-        if hyp_on {
-            hv_plan.build(&hv, dt, subcycles, nlev, ops)?;
-        }
-        let hv_plan: &ElemHypervisPlan = hv_plan;
-        let rawcap = *rawcap;
-        let workers: &crate::sched::PerWorker<WorkerScratch> = workers;
-        let scans: &crate::sched::PerWorker<[crate::health::StageScan; 5]> = scans;
-
-        // Stage list mirroring the bulk phase order exactly.
-        stages.clear();
-        for s in 0..KG5_COEFFS.len() {
-            stages.push(PipelineStage::Rk(s));
-        }
-        if hyp_on {
-            if hv.nu_top > 0.0 && ks > 0 {
-                stages.push(PipelineStage::Sponge);
-            }
-            for _ in 0..subcycles {
-                stages.push(PipelineStage::HypLap { pass: 0 });
-                stages.push(PipelineStage::HypLap { pass: 1 });
-            }
-        }
-        if qsize > 0 {
-            for s in 0..3 {
-                stages.push(PipelineStage::Tracer(s));
-            }
-        }
-        let stages: &[PipelineStage] = stages;
-        let nstages = stages.len();
-
-        if checked {
-            for w in 0..sched.nthreads() {
-                *unsafe { scans.get(w) } = [EMPTY_SCAN; 5];
-            }
-        }
-        graph.ensure(nelem);
-        graph.shuffle_seed(nelem, seed);
-
-        {
-            // Arenas. Safety of the unchecked windows: every substage
-            // writes only element-`e` windows; cross-element *reads* in
-            // gathers are ordered after the writes they need by the
-            // graph's eligibility rules, and the write-after-read hazard
-            // on raw windows is excluded by the alternating stage parity
-            // (DESIGN.md §5.6).
-            let su = ArenaMut::new(&mut state.u);
-            let sv = ArenaMut::new(&mut state.v);
-            let st = ArenaMut::new(&mut state.t);
-            let sdp = ArenaMut::new(&mut state.dp3d);
-            let sq = ArenaMut::new(&mut state.qdp);
-            let phis: &[f64] = &state.phis;
-            // DSS'd RK stage `s` lands in parity arena `s % 2`.
-            let du = [ArenaMut::new(&mut next.u), ArenaMut::new(&mut stage.u)];
-            let dv = [ArenaMut::new(&mut next.v), ArenaMut::new(&mut stage.v)];
-            let dtt = [ArenaMut::new(&mut next.t), ArenaMut::new(&mut stage.t)];
-            let ddp = [ArenaMut::new(&mut next.dp3d), ArenaMut::new(&mut stage.dp3d)];
-            let hu = ArenaMut::new(&mut hyp.u);
-            let hvv = ArenaMut::new(&mut hyp.v);
-            let ht = ArenaMut::new(&mut hyp.t);
-            let hdp = ArenaMut::new(&mut hyp.dp3d);
-            let aq0 = ArenaMut::new(qdp0);
-            let aq1 = ArenaMut::new(q1);
-            let aq2 = ArenaMut::new(q2);
-            let raws = [ArenaMut::new(raw0), ArenaMut::new(raw1)];
-
-            let exec = |w: usize, e: usize, sub: usize| {
-                let sidx = sub >> 1;
-                let is_gather = sub & 1 == 1;
-                // Raw (pre-DSS) windows alternate by stage parity.
-                let raw = raws[sidx & 1];
-                let ro = e * rawcap;
-                match stages[sidx] {
-                    PipelineStage::Rk(s) => {
-                        if !is_gather {
-                            // out = state + c dt RHS(eval), pre-DSS.
-                            let c_dt = KG5_COEFFS[s] * dt;
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    raw.slice(ro, fl),
-                                    raw.slice(ro + fl, fl),
-                                    raw.slice(ro + 2 * fl, fl),
-                                    raw.slice(ro + 3 * fl, fl),
-                                )
-                            };
-                            // The state is untouched during dynamics, so it
-                            // doubles as the RK base (bulk copies it).
-                            let (bu, bv, bt, bdp) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*st.slice(e * fl, fl),
-                                    &*sdp.slice(e * fl, fl),
-                                )
-                            };
-                            let (evu, evv, evt, evdp): (&[f64], &[f64], &[f64], &[f64]) =
-                                if s == 0 {
-                                    (bu, bv, bt, bdp)
-                                } else {
-                                    let pr = (s - 1) & 1;
-                                    unsafe {
-                                        (
-                                            &*du[pr].slice(e * fl, fl),
-                                            &*dv[pr].slice(e * fl, fl),
-                                            &*dtt[pr].slice(e * fl, fl),
-                                            &*ddp[pr].slice(e * fl, fl),
-                                        )
-                                    }
-                                };
-                            let phis_e = &phis[e * NPTS..(e + 1) * NPTS];
-                            let scratch = unsafe { workers.get(w) };
-                            match kernels {
-                                KernelPath::Blocked => element_rhs_apply_blocked(
-                                    &bops[e], nlev, ptop, evu, evv, evt, evdp, phis_e, bu, bv,
-                                    bt, bdp, c_dt, ou, ov, ot, odp, &mut scratch.rhs,
-                                ),
-                                KernelPath::Scalar => {
-                                    let WorkerScratch { tend, rhs: rhs_scratch, .. } = scratch;
-                                    element_rhs_raw(
-                                        &ops[e],
-                                        nlev,
-                                        ptop,
-                                        evu,
-                                        evv,
-                                        evt,
-                                        evdp,
-                                        phis_e,
-                                        &mut tend.u,
-                                        &mut tend.v,
-                                        &mut tend.t,
-                                        &mut tend.dp3d,
-                                        rhs_scratch,
-                                    );
-                                    for i in 0..fl {
-                                        ou[i] = bu[i] + c_dt * tend.u[i];
-                                        ov[i] = bv[i] + c_dt * tend.v[i];
-                                        ot[i] = bt[i] + c_dt * tend.t[i];
-                                        odp[i] = bdp[i] + c_dt * tend.dp3d[i];
-                                    }
-                                }
-                            }
-                        } else {
-                            // Canonical-order DSS of the four prognostics;
-                            // the final stage lands directly in the state.
-                            let (ou, ov, ot, odp) = if s == 4 {
-                                unsafe {
-                                    (
-                                        su.slice(e * fl, fl),
-                                        sv.slice(e * fl, fl),
-                                        st.slice(e * fl, fl),
-                                        sdp.slice(e * fl, fl),
-                                    )
-                                }
-                            } else {
-                                let pr = s & 1;
-                                unsafe {
-                                    (
-                                        du[pr].slice(e * fl, fl),
-                                        dv[pr].slice(e * fl, fl),
-                                        dtt[pr].slice(e * fl, fl),
-                                        ddp[pr].slice(e * fl, fl),
-                                    )
-                                }
-                            };
-                            let mut part = EMPTY_SCAN;
-                            for k in 0..nlev {
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + ko + c % NPTS)
-                                    });
-                                    let gv = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + fl + ko + c % NPTS)
-                                    });
-                                    let gt = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 2 * fl + ko + c % NPTS)
-                                    });
-                                    let gdp = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 3 * fl + ko + c % NPTS)
-                                    });
-                                    ou[ko + p] = gu;
-                                    ov[ko + p] = gv;
-                                    ot[ko + p] = gt;
-                                    odp[ko + p] = gdp;
-                                    if checked {
-                                        // Same predicate as `scan_stage`.
-                                        if !(gu.is_finite()
-                                            && gv.is_finite()
-                                            && gt.is_finite()
-                                            && gdp.is_finite())
-                                        {
-                                            part.nonfinite += 1;
-                                        }
-                                        if gdp < part.min_dp3d {
-                                            part.min_dp3d = gdp;
-                                        }
-                                        let s2 = gu * gu + gv * gv;
-                                        if s2 > part.max_speed2 {
-                                            part.max_speed2 = s2;
-                                        }
-                                    }
-                                }
-                            }
-                            if checked {
-                                let acc = &mut unsafe { scans.get(w) }[s];
-                                acc.nonfinite += part.nonfinite;
-                                if part.min_dp3d < acc.min_dp3d {
-                                    acc.min_dp3d = part.min_dp3d;
-                                }
-                                if part.max_speed2 > acc.max_speed2 {
-                                    acc.max_speed2 = part.max_speed2;
-                                }
-                            }
-                        }
-                    }
-                    PipelineStage::Sponge => {
-                        if !is_gather {
-                            // vlaplace(u, v) and lap(T) of the state's top
-                            // `ks` levels into the raw window.
-                            let (ru, rv, rt) = unsafe {
-                                (
-                                    raw.slice(ro, sl),
-                                    raw.slice(ro + sl, sl),
-                                    raw.slice(ro + 2 * sl, sl),
-                                )
-                            };
-                            let (bu, bv, bt) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*st.slice(e * fl, fl),
-                                )
-                            };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    sponge_pass_element_blocked(
-                                        &bops[e], ks, &bu[..sl], &bv[..sl], &bt[..sl], ru, rv, rt,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..ks {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &bu[r.clone()],
-                                            &bv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&bt[r.clone()], &mut lt);
-                                        rt[r].copy_from_slice(&lt);
-                                    }
-                                }
-                            }
-                        } else {
-                            // Gather + fused sponge damping increment.
-                            let (ou, ov, ot) = unsafe {
-                                (
-                                    su.slice(e * fl, fl),
-                                    sv.slice(e * fl, fl),
-                                    st.slice(e * fl, fl),
-                                )
-                            };
-                            for k in 0..ks {
-                                // Hoisted `dt * nu_top * 2^-k` (bitwise the
-                                // same product the bulk sponge forms).
-                                let cs = hv_plan.sponge[k];
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + ko + c % NPTS)
-                                    });
-                                    let gv = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + sl + ko + c % NPTS)
-                                    });
-                                    let gt = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 2 * sl + ko + c % NPTS)
-                                    });
-                                    ou[ko + p] += cs * gu;
-                                    ov[ko + p] += cs * gv;
-                                    ot[ko + p] += cs * gt;
-                                }
-                            }
-                        }
-                    }
-                    PipelineStage::HypLap { pass } => {
-                        if !is_gather {
-                            // One Laplacian of (u, v, T, dp3d): of the
-                            // state on pass 0, of the first-pass result on
-                            // pass 1 (del^4 = lap(lap)).
-                            let (ru, rv, rt, rdp) = unsafe {
-                                (
-                                    raw.slice(ro, fl),
-                                    raw.slice(ro + fl, fl),
-                                    raw.slice(ro + 2 * fl, fl),
-                                    raw.slice(ro + 3 * fl, fl),
-                                )
-                            };
-                            let (iu, iv, it, idp) = if pass == 0 {
-                                unsafe {
-                                    (
-                                        &*su.slice(e * fl, fl),
-                                        &*sv.slice(e * fl, fl),
-                                        &*st.slice(e * fl, fl),
-                                        &*sdp.slice(e * fl, fl),
-                                    )
-                                }
-                            } else {
-                                unsafe {
-                                    (
-                                        &*hu.slice(e * fl, fl),
-                                        &*hvv.slice(e * fl, fl),
-                                        &*ht.slice(e * fl, fl),
-                                        &*hdp.slice(e * fl, fl),
-                                    )
-                                }
-                            };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    hypervis_pass_element_blocked(
-                                        &bops[e], nlev, iu, iv, it, idp, ru, rv, rt, rdp,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for k in 0..nlev {
-                                        let r = k * NPTS..(k + 1) * NPTS;
-                                        let mut lu = [0.0; NPTS];
-                                        let mut lv = [0.0; NPTS];
-                                        ops[e].vlaplace_sphere(
-                                            &iu[r.clone()],
-                                            &iv[r.clone()],
-                                            &mut lu,
-                                            &mut lv,
-                                        );
-                                        ru[r.clone()].copy_from_slice(&lu);
-                                        rv[r.clone()].copy_from_slice(&lv);
-                                        let mut lt = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&it[r.clone()], &mut lt);
-                                        rt[r.clone()].copy_from_slice(&lt);
-                                        let mut ldp = [0.0; NPTS];
-                                        ops[e].laplace_sphere_wk(&idp[r.clone()], &mut ldp);
-                                        rdp[r].copy_from_slice(&ldp);
-                                    }
-                                }
-                            }
-                        } else if pass == 0 {
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    hu.slice(e * fl, fl),
-                                    hvv.slice(e * fl, fl),
-                                    ht.slice(e * fl, fl),
-                                    hdp.slice(e * fl, fl),
-                                )
-                            };
-                            for k in 0..nlev {
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    ou[ko + p] = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + ko + c % NPTS)
-                                    });
-                                    ov[ko + p] = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + fl + ko + c % NPTS)
-                                    });
-                                    ot[ko + p] = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 2 * fl + ko + c % NPTS)
-                                    });
-                                    odp[ko + p] = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 3 * fl + ko + c % NPTS)
-                                    });
-                                }
-                            }
-                        } else {
-                            // Gather + fused damping subtraction.
-                            let (ou, ov, ot, odp) = unsafe {
-                                (
-                                    su.slice(e * fl, fl),
-                                    sv.slice(e * fl, fl),
-                                    st.slice(e * fl, fl),
-                                    sdp.slice(e * fl, fl),
-                                )
-                            };
-                            // Hoisted `dt_sub * nu` / `dt_sub * nu_p`
-                            // (bitwise the same products the bulk apply
-                            // loops form).
-                            let cu = hv_plan.coef_u;
-                            let cdp = hv_plan.coef_dp;
-                            for k in 0..nlev {
-                                let ko = k * NPTS;
-                                for p in 0..NPTS {
-                                    let pi = e * NPTS + p;
-                                    let gu = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + ko + c % NPTS)
-                                    });
-                                    let gv = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + fl + ko + c % NPTS)
-                                    });
-                                    let gt = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 2 * fl + ko + c % NPTS)
-                                    });
-                                    let gdp = gather.gather_point(pi, |c| unsafe {
-                                        raw.read((c / NPTS) * rawcap + 3 * fl + ko + c % NPTS)
-                                    });
-                                    ou[ko + p] -= cu * gu;
-                                    ov[ko + p] -= cu * gv;
-                                    ot[ko + p] -= cu * gt;
-                                    odp[ko + p] -= cdp * gdp;
-                                }
-                            }
-                        }
-                    }
-                    PipelineStage::Tracer(s) => {
-                        if !is_gather {
-                            let q0m = unsafe { aq0.slice(e * tl, tl) };
-                            if s == 0 {
-                                // First touch: snapshot the step-input
-                                // tracer mass (bulk copies the full arena
-                                // up front).
-                                q0m.copy_from_slice(unsafe { &*sq.slice(e * tl, tl) });
-                            }
-                            let q0: &[f64] = q0m;
-                            let qin: &[f64] = match s {
-                                0 => q0,
-                                1 => unsafe { &*aq1.slice(e * tl, tl) },
-                                _ => unsafe { &*aq2.slice(e * tl, tl) },
-                            };
-                            let (uu, vv, dp) = unsafe {
-                                (
-                                    &*su.slice(e * fl, fl),
-                                    &*sv.slice(e * fl, fl),
-                                    &*sdp.slice(e * fl, fl),
-                                )
-                            };
-                            let qout = unsafe { raw.slice(ro, tl) };
-                            match kernels {
-                                KernelPath::Blocked => {
-                                    let combine = match s {
-                                        0 => StageCombine::Replace,
-                                        1 => StageCombine::Ssp2,
-                                        _ => StageCombine::Ssp3,
-                                    };
-                                    euler_stage_element_blocked(
-                                        &bops[e], nlev, qsize, uu, vv, dp, qin, q0, dt, combine,
-                                        qout,
-                                    );
-                                }
-                                KernelPath::Scalar => {
-                                    for q in 0..qsize {
-                                        for k in 0..nlev {
-                                            let r = k * NPTS..(k + 1) * NPTS;
-                                            let rq = (q * nlev + k) * NPTS
-                                                ..(q * nlev + k + 1) * NPTS;
-                                            let mut tend = [0.0; NPTS];
-                                            tracer_flux_divergence(
-                                                &ops[e],
-                                                &uu[r.clone()],
-                                                &vv[r.clone()],
-                                                &dp[r],
-                                                &qin[rq.clone()],
-                                                &mut tend,
-                                            );
-                                            for p in 0..NPTS {
-                                                let i = rq.start + p;
-                                                let t1 = qin[i] + dt * tend[p];
-                                                qout[i] = match s {
-                                                    0 => t1,
-                                                    1 => 0.75 * q0[i] + 0.25 * t1,
-                                                    _ => q0[i] / 3.0 + 2.0 / 3.0 * t1,
-                                                };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            let dest = match s {
-                                0 => unsafe { aq1.slice(e * tl, tl) },
-                                1 => unsafe { aq2.slice(e * tl, tl) },
-                                _ => unsafe { sq.slice(e * tl, tl) },
-                            };
-                            for q in 0..qsize {
-                                for k in 0..nlev {
-                                    let qo = (q * nlev + k) * NPTS;
-                                    for p in 0..NPTS {
-                                        let pi = e * NPTS + p;
-                                        dest[qo + p] = gather.gather_point(pi, |c| unsafe {
-                                            raw.read((c / NPTS) * rawcap + qo + c % NPTS)
-                                        });
-                                    }
-                                }
-                            }
-                            if limiter {
-                                let mut spheremp = [0.0; NPTS];
-                                spheremp.copy_from_slice(&ops[e].spheremp);
-                                for q in 0..qsize {
-                                    for k in 0..nlev {
-                                        let r = (q * nlev + k) * NPTS
-                                            ..(q * nlev + k + 1) * NPTS;
-                                        limit_nonnegative(&spheremp, &mut dest[r]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            graph.run(sched, neighbors, nstages, &exec);
-        }
-
-        // Commit the scans in bulk order: RK stages 0..5, then the
-        // post-advection tracer scan over the final state.
-        if let Some(health) = health {
-            for s in 0..KG5_COEFFS.len() {
-                let mut merged = EMPTY_SCAN;
-                for w in 0..sched.nthreads() {
-                    let part = unsafe { scans.get(w) }[s];
-                    merged.nonfinite += part.nonfinite;
-                    merged.tracer_nonfinite += part.tracer_nonfinite;
-                    if part.min_dp3d < merged.min_dp3d {
-                        merged.min_dp3d = part.min_dp3d;
-                    }
-                    if part.max_speed2 > merged.max_speed2 {
-                        merged.max_speed2 = part.max_speed2;
-                    }
-                }
-                commit_scan(health, &hcfg, s, merged)?;
-            }
-            let scan = scan_stage(&state.u, &state.v, &state.t, &state.dp3d, &state.qdp);
-            commit_scan(health, &hcfg, TRACER_STAGE, scan)?;
-        }
         Ok(())
     }
 
@@ -1624,164 +834,127 @@ fn finish_tracer_stage(ops: &[ElemOps], dss: &mut Dss, dims: Dims, limiter: bool
     }
 }
 
-/// One member's borrowed `(u, v, t, dp3d)` element slices.
-type UvtdpRef<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64]);
-
-/// Per-member mutable `(u, v, t, dp3d)` element slices for an `M`-chunk.
-type UvtdpMut<'a, const M: usize> =
-    ([&'a mut [f64]; M], [&'a mut [f64]; M], [&'a mut [f64]; M], [&'a mut [f64]; M]);
-
-/// Subcycled biharmonic hyperviscosity for one chunk of `M` ensemble
-/// members, mirroring the blocked arm of [`Dycore::apply_hypervis_n`]
-/// phase for phase: sponge sweep, then per subcycle a fused first Laplacian
-/// straight from each member's state into its hyp lane, one DSS per member,
-/// the in-place second Laplacian, and the damping folded into the DSS
-/// scatter. The element sweeps batch all `M` members through shared
-/// coefficient walks ([`hypervis_pass_element_members_blocked`]); the
-/// serial DSS phases run per member in the standalone order, so member `m`
-/// stays bitwise identical to the single-member path.
+/// The blocked arm of [`Dycore::apply_hypervis_n`] on one state, with the
+/// step plan `ws.hv_plan` already built: the fused sponge sweep, then per
+/// subcycle the fused first Laplacian straight from the state into the hyp
+/// arenas, one DSS, the in-place second Laplacian, and the damping folded
+/// into the DSS scatter. The member-batched driver runs ragged tails
+/// through it member by member against its one shared plan.
 #[allow(clippy::too_many_arguments)]
-fn hypervis_members_chunk<const M: usize>(
+fn hypervis_blocked(
     sched: &ElemScheduler,
     dss: &mut Dss,
     bops: &[BlockedOps],
-    plan: &ElemHypervisPlan,
+    ws: &mut StepWorkspace,
     hv: &HypervisConfig,
     nlev: usize,
     fl: usize,
-    nelem: usize,
-    sponge: (&mut [f64], &mut [f64], &mut [f64]),
-    mut states: [&mut State; M],
-    mut hyps: [&mut DynFields; M],
+    state: &mut State,
     subcycles: usize,
 ) {
-    // Top-of-model sponge, per member (the sponge is `ks * NPTS` of the
-    // column — too thin to amortize a batched walk — and shares the step
-    // workspace's single staging arena set).
+    let StepWorkspace { hv_plan: plan, hyp, sponge_u, sponge_v, sponge_t, .. } = ws;
+    let nelem = bops.len();
+    // Top-of-model sponge: ordinary Laplacian damping on the top
+    // layers (sign +nu_top lap, i.e. diffusion). The fused element
+    // pass reads the state directly (no staging copy) and the
+    // damping increment rides the DSS scatter.
     if hv.nu_top > 0.0 && hv.sponge_layers > 0 {
         let ks = plan.ks;
         let sl = ks * NPTS;
-        let (sp_u, sp_v, sp_t) = sponge;
-        for st_m in states.iter_mut() {
-            {
-                let ou = ArenaMut::new(sp_u);
-                let ov = ArenaMut::new(sp_v);
-                let ot = ArenaMut::new(sp_t);
-                let (su, sv, st): (&[f64], &[f64], &[f64]) = (&st_m.u, &st_m.v, &st_m.t);
-                sched.run(nelem, &|_w, e| {
-                    let (ou, ov, ot) = unsafe {
-                        (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
-                    };
-                    sponge_pass_element_blocked(
-                        &bops[e],
-                        ks,
-                        &su[e * fl..e * fl + sl],
-                        &sv[e * fl..e * fl + sl],
-                        &st[e * fl..e * fl + sl],
-                        ou,
-                        ov,
-                        ot,
-                    );
-                });
-            }
-            dss.apply_flat_scaled_add(sp_u, ks, &plan.sponge, &mut st_m.u, fl);
-            dss.apply_flat_scaled_add(sp_v, ks, &plan.sponge, &mut st_m.v, fl);
-            dss.apply_flat_scaled_add(sp_t, ks, &plan.sponge, &mut st_m.t, fl);
-        }
-    }
-    for _ in 0..subcycles {
-        // First Laplacian of every member's (u, v, T, dp3d): the fused
-        // member-batched coefficient walk, state -> hyp lanes.
         {
-            struct Lane<'a> {
-                u: ArenaMut<'a>,
-                v: ArenaMut<'a>,
-                t: ArenaMut<'a>,
-                dp: ArenaMut<'a>,
-            }
-            let lanes: [Lane; M] = {
-                let mut it = hyps.iter_mut();
-                core::array::from_fn(|_| {
-                    let h = it.next().unwrap();
-                    Lane {
-                        u: ArenaMut::new(&mut h.u),
-                        v: ArenaMut::new(&mut h.v),
-                        t: ArenaMut::new(&mut h.t),
-                        dp: ArenaMut::new(&mut h.dp3d),
-                    }
-                })
-            };
-            let srcs: [UvtdpRef; M] = {
-                let mut it = states.iter();
-                core::array::from_fn(|_| {
-                    let s = it.next().unwrap();
-                    (&s.u[..], &s.v[..], &s.t[..], &s.dp3d[..])
-                })
-            };
+            let ou = ArenaMut::new(sponge_u);
+            let ov = ArenaMut::new(sponge_v);
+            let ot = ArenaMut::new(sponge_t);
+            let (su, sv, st): (&[f64], &[f64], &[f64]) =
+                (&state.u, &state.v, &state.t);
             sched.run(nelem, &|_w, e| {
-                let r = e * fl..(e + 1) * fl;
-                let su: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].0[r.clone()]);
-                let sv: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].1[r.clone()]);
-                let st: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].2[r.clone()]);
-                let sdp: [&[f64]; M] = core::array::from_fn(|m| &srcs[m].3[r.clone()]);
-                let (mut ou, mut ov, mut ot, mut odp): UvtdpMut<M> = unsafe {
-                    (
-                        core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].v.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].t.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].dp.slice(e * fl, fl)),
-                    )
+                let (ou, ov, ot) = unsafe {
+                    (ou.slice(e * sl, sl), ov.slice(e * sl, sl), ot.slice(e * sl, sl))
                 };
-                hypervis_pass_element_members_blocked::<M>(
-                    &bops[e], nlev, &su, &sv, &st, &sdp, &mut ou, &mut ov, &mut ot, &mut odp,
+                sponge_pass_element_blocked(
+                    &bops[e],
+                    ks,
+                    &su[e * fl..e * fl + sl],
+                    &sv[e * fl..e * fl + sl],
+                    &st[e * fl..e * fl + sl],
+                    ou,
+                    ov,
+                    ot,
                 );
             });
         }
-        for h in hyps.iter_mut() {
-            dss.apply_flat4([&mut h.u, &mut h.v, &mut h.t, &mut h.dp3d], nlev);
-        }
-        // Second Laplacian in place (del^4 = lap(lap)), again batched.
+        dss.apply_flat_scaled_add(sponge_u, ks, &plan.sponge, &mut state.u, fl);
+        dss.apply_flat_scaled_add(sponge_v, ks, &plan.sponge, &mut state.v, fl);
+        dss.apply_flat_scaled_add(sponge_t, ks, &plan.sponge, &mut state.t, fl);
+    }
+    for _ in 0..subcycles {
+        // First Laplacian of (u, v, T, dp3d): one fused coefficient
+        // walk per element, straight from the state into the hyp
+        // arenas.
         {
-            struct Lane<'a> {
-                u: ArenaMut<'a>,
-                v: ArenaMut<'a>,
-                t: ArenaMut<'a>,
-                dp: ArenaMut<'a>,
-            }
-            let lanes: [Lane; M] = {
-                let mut it = hyps.iter_mut();
-                core::array::from_fn(|_| {
-                    let h = it.next().unwrap();
-                    Lane {
-                        u: ArenaMut::new(&mut h.u),
-                        v: ArenaMut::new(&mut h.v),
-                        t: ArenaMut::new(&mut h.t),
-                        dp: ArenaMut::new(&mut h.dp3d),
-                    }
-                })
-            };
+            let ou = ArenaMut::new(&mut hyp.u);
+            let ov = ArenaMut::new(&mut hyp.v);
+            let ot = ArenaMut::new(&mut hyp.t);
+            let odp = ArenaMut::new(&mut hyp.dp3d);
+            let (su, sv, st, sdp): (&[f64], &[f64], &[f64], &[f64]) =
+                (&state.u, &state.v, &state.t, &state.dp3d);
             sched.run(nelem, &|_w, e| {
-                let (mut u, mut v, mut t, mut dp): UvtdpMut<M> = unsafe {
+                let r = e * fl..(e + 1) * fl;
+                let (ou, ov, ot, odp) = unsafe {
                     (
-                        core::array::from_fn(|m| lanes[m].u.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].v.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].t.slice(e * fl, fl)),
-                        core::array::from_fn(|m| lanes[m].dp.slice(e * fl, fl)),
+                        ou.slice(e * fl, fl),
+                        ov.slice(e * fl, fl),
+                        ot.slice(e * fl, fl),
+                        odp.slice(e * fl, fl),
                     )
                 };
-                hypervis_pass_levels_members_blocked::<M>(&bops[e], nlev, &mut u, &mut v, &mut t, &mut dp);
+                hypervis_pass_element_blocked(
+                    &bops[e],
+                    nlev,
+                    &su[r.clone()],
+                    &sv[r.clone()],
+                    &st[r.clone()],
+                    &sdp[r],
+                    ou,
+                    ov,
+                    ot,
+                    odp,
+                );
             });
         }
-        // Damping folded into the DSS scatter, per member.
-        for (h, st_m) in hyps.iter().zip(states.iter_mut()) {
-            dss.apply_flat_scaled_add4(
-                [&h.u, &h.v, &h.t, &h.dp3d],
-                nlev,
-                [&plan.damp_u, &plan.damp_u, &plan.damp_u, &plan.damp_dp],
-                [&mut st_m.u, &mut st_m.v, &mut st_m.t, &mut st_m.dp3d],
-                fl,
-            );
+        dss.apply_flat4(
+            [&mut hyp.u, &mut hyp.v, &mut hyp.t, &mut hyp.dp3d],
+            nlev,
+        );
+        // Second Laplacian in place (del^4 = lap(lap)).
+        {
+            let au = ArenaMut::new(&mut hyp.u);
+            let av = ArenaMut::new(&mut hyp.v);
+            let at = ArenaMut::new(&mut hyp.t);
+            let adp = ArenaMut::new(&mut hyp.dp3d);
+            sched.run(nelem, &|_w, e| {
+                let (u, v, t, dp) = unsafe {
+                    (
+                        au.slice(e * fl, fl),
+                        av.slice(e * fl, fl),
+                        at.slice(e * fl, fl),
+                        adp.slice(e * fl, fl),
+                    )
+                };
+                hypervis_pass_levels_blocked(&bops[e], nlev, u, v, t, dp);
+            });
         }
+        // Final DSS fused with the forward-Euler apply: the plan's
+        // negated `dt_sub * nu` coefficients turn `x -= c * lap`
+        // into the scatter's `x += (-c) * lap` bitwise-identically,
+        // and all four fields ride one walk of the assembly map.
+        dss.apply_flat_scaled_add4(
+            [&hyp.u, &hyp.v, &hyp.t, &hyp.dp3d],
+            nlev,
+            [&plan.damp_u, &plan.damp_u, &plan.damp_u, &plan.damp_dp],
+            [&mut state.u, &mut state.v, &mut state.t, &mut state.dp3d],
+            fl,
+        );
     }
 }
 
@@ -1789,9 +962,9 @@ fn hypervis_members_chunk<const M: usize>(
 /// members (`1..=4`) on the lane-transposed tiles: gather the members'
 /// prognostics into the shared `stage` tile (a short sweep duplicates the
 /// last member into the dead lanes), run the sponge and subcycle phases of
-/// [`Dycore::apply_hypervis_n`]'s blocked arm entirely on tiles — one
-/// coefficient walk and one DSS assembly walk per phase serve every lane —
-/// and scatter the live lanes back. Lane `m` replays member `m`'s
+/// [`hypervis_blocked`] entirely on tiles — one coefficient walk and one
+/// DSS assembly walk per phase serve every lane — and scatter the live
+/// lanes back. Lane `m` replays member `m`'s
 /// standalone scalar sequence at every point (kernels and DSS alike), so
 /// the committed bits match the single-member path per member.
 #[allow(clippy::too_many_arguments)]
@@ -1839,8 +1012,8 @@ fn hypervis_members_lanes<const M: usize>(
 /// The tile-resident phases of the lane hypervis sweep: top-of-model
 /// sponge, then per subcycle the fused first Laplacian (`stage` tile into
 /// the `hyp` tile), the lane DSS, the in-place second Laplacian, and the
-/// damping folded into the lane DSS scatter back onto `stage`. Mirrors the
-/// blocked arm of [`Dycore::apply_hypervis_n`] phase for phase.
+/// damping folded into the lane DSS scatter back onto `stage`. Mirrors
+/// [`hypervis_blocked`] phase for phase.
 #[allow(clippy::too_many_arguments)]
 fn hypervis_lanes_core(
     sched: &ElemScheduler,
@@ -2115,8 +1288,9 @@ mod tests {
     }
 
     /// The member-batched hypervis driver is bitwise identical to the
-    /// single-member path run member by member, across chunk shapes
-    /// (1, 2, 3 = 2+1, 4, 5 = 4+1) and with the sponge active.
+    /// single-member path run member by member, across batch shapes (1-3
+    /// member-serial, 4, 5 = 4+1, 6 = 4+2, 7 = 4+3) and with the sponge
+    /// active.
     #[test]
     fn hypervis_members_matches_per_member_bitwise() {
         let dims = Dims { nlev: 6, qsize: 0 };
@@ -2142,30 +1316,26 @@ mod tests {
                 .collect()
         };
 
-        for path in [MemberKernelPath::Chunked, MemberKernelPath::Lanes] {
-            dy.member_kernels = path;
-            for n in [1usize, 2, 3, 4, 5] {
-                let mut expect = make_members(&dy, n);
-                for st in expect.iter_mut() {
-                    dy.apply_hypervis_n(st, subcycles).unwrap();
-                }
+        for n in [1usize, 2, 3, 4, 5, 6, 7] {
+            let mut expect = make_members(&dy, n);
+            for st in expect.iter_mut() {
+                dy.apply_hypervis_n(st, subcycles).unwrap();
+            }
 
-                let mut got = make_members(&dy, n);
-                let members: Vec<usize> = (0..n).collect();
-                let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
-                dy.apply_hypervis_members(&mut got, &members, &mut ens, subcycles).unwrap();
+            let mut got = make_members(&dy, n);
+            let members: Vec<usize> = (0..n).collect();
+            let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
+            dy.apply_hypervis_members(&mut got, &members, &mut ens, subcycles).unwrap();
 
-                for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
-                    assert_eq!(e.max_abs_diff(g), 0.0, "{path:?} n={n} member={m} diverged");
-                }
+            for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
+                assert_eq!(e.max_abs_diff(g), 0.0, "n={n} member={m} diverged");
             }
         }
     }
 
     /// The member-batched RK driver is bitwise identical to the standalone
     /// [`Dycore::dynamics_step`] run member by member, across batch shapes
-    /// (including the ragged 3 = 4-sweep-short and 5 = 4+1 tails) and on
-    /// both member kernel paths.
+    /// (including the ragged 3 = 4-sweep-short and 5 = 4+1 tails).
     #[test]
     fn dynamics_step_members_matches_per_member_bitwise() {
         let dims = Dims { nlev: 6, qsize: 0 };
@@ -2191,22 +1361,19 @@ mod tests {
                 .collect()
         };
 
-        for path in [MemberKernelPath::Chunked, MemberKernelPath::Lanes] {
-            dy.member_kernels = path;
-            for n in [1usize, 2, 3, 4, 5] {
-                let mut expect = make_members(&dy, n);
-                for st in expect.iter_mut() {
-                    dy.dynamics_step(st);
-                }
+        for n in [1usize, 2, 3, 4, 5] {
+            let mut expect = make_members(&dy, n);
+            for st in expect.iter_mut() {
+                dy.dynamics_step(st);
+            }
 
-                let mut got = make_members(&dy, n);
-                let members: Vec<usize> = (0..n).collect();
-                let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
-                dy.dynamics_step_members(&mut got, &members, &mut ens);
+            let mut got = make_members(&dy, n);
+            let members: Vec<usize> = (0..n).collect();
+            let mut ens = crate::workspace::EnsembleWorkspace::new(dims, dy.ops.len(), n);
+            dy.dynamics_step_members(&mut got, &members, &mut ens);
 
-                for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
-                    assert_eq!(e.max_abs_diff(g), 0.0, "{path:?} n={n} member={m} diverged");
-                }
+            for (m, (e, g)) in expect.iter().zip(&got).enumerate() {
+                assert_eq!(e.max_abs_diff(g), 0.0, "n={n} member={m} diverged");
             }
         }
     }
@@ -2439,126 +1606,5 @@ mod tests {
                 "threads={threads} diverged from serial"
             );
         }
-    }
-
-    /// Full physics config for the task-graph parity tests: hypervis +
-    /// sponge + limiter + tracers + mid-run vertical remap all on.
-    fn taskgraph_cfg() -> DycoreConfig {
-        DycoreConfig {
-            dt: 100.0,
-            hypervis: HypervisConfig {
-                nu: 1.0e15,
-                nu_p: 1.0e15,
-                subcycles: 2,
-                nu_top: 2.5e5,
-                sponge_layers: 2,
-            },
-            limiter: true,
-            rsplit: 2,
-        }
-    }
-
-    fn taskgraph_run(path: StepPath, threads: usize, seed: u64, checked: bool) -> State {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let mut dy = Dycore::new(3, dims, 200.0, taskgraph_cfg());
-        dy.step_path = path;
-        dy.taskgraph_seed = seed;
-        dy.set_threads(threads);
-        if checked {
-            dy.health = HealthConfig::on();
-        }
-        let mut st = resting_state(&dy);
-        for es in st.elems_mut() {
-            for (i, t) in es.t.iter_mut().enumerate() {
-                *t += ((i % 7) as f64 - 3.0) * 0.5;
-            }
-            for (i, u) in es.u.iter_mut().enumerate() {
-                *u += ((i % 5) as f64 - 2.0) * 0.1;
-            }
-        }
-        for _ in 0..4 {
-            if checked {
-                dy.step_checked(&mut st).expect("healthy step");
-            } else {
-                dy.step(&mut st);
-            }
-        }
-        st
-    }
-
-    #[test]
-    fn taskgraph_step_matches_bulk_bitwise() {
-        let oracle = taskgraph_run(StepPath::Bulk, 1, 0, false);
-        assert!(oracle.u.iter().any(|x| *x != 0.0), "oracle run did nothing");
-        for threads in [1, 2, 4] {
-            for seed in [0u64, 1, 0xBEEF] {
-                let tg = taskgraph_run(StepPath::TaskGraph, threads, seed, false);
-                assert_eq!(
-                    oracle.max_abs_diff(&tg),
-                    0.0,
-                    "task graph diverged from bulk (threads={threads}, seed={seed:#x})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn taskgraph_checked_step_matches_bulk_bitwise() {
-        let oracle = taskgraph_run(StepPath::Bulk, 1, 0, true);
-        for threads in [1, 4] {
-            let tg = taskgraph_run(StepPath::TaskGraph, threads, 0x5EED, true);
-            assert_eq!(
-                oracle.max_abs_diff(&tg),
-                0.0,
-                "checked task graph diverged from bulk (threads={threads})"
-            );
-        }
-    }
-
-    #[test]
-    fn taskgraph_checked_step_reports_same_error_as_bulk() {
-        let dims = Dims { nlev: 4, qsize: 2 };
-        let run = |path: StepPath| -> HealthError {
-            let mut dy = Dycore::new(2, dims, 200.0, taskgraph_cfg());
-            dy.step_path = path;
-            dy.health = HealthConfig::on();
-            let mut st = resting_state(&dy);
-            st.u[5] = f64::NAN;
-            dy.step_checked(&mut st).unwrap_err()
-        };
-        let bulk = run(StepPath::Bulk);
-        let tg = run(StepPath::TaskGraph);
-        assert_eq!(format!("{bulk:?}"), format!("{tg:?}"), "error mismatch");
-    }
-
-    #[test]
-    fn taskgraph_step_without_hypervis_or_tracers() {
-        // Degenerate stage lists (no sponge/hyp/tracer stages) must still
-        // agree with the bulk path.
-        let dims = Dims { nlev: 4, qsize: 0 };
-        let cfg = DycoreConfig {
-            dt: 150.0,
-            hypervis: HypervisConfig::off(),
-            limiter: false,
-            rsplit: 1,
-        };
-        let run = |path: StepPath| -> State {
-            let mut dy = Dycore::new(2, dims, 200.0, cfg);
-            dy.step_path = path;
-            dy.set_threads(2);
-            let mut st = resting_state(&dy);
-            for es in st.elems_mut() {
-                for (i, t) in es.t.iter_mut().enumerate() {
-                    *t += ((i % 7) as f64 - 3.0) * 0.5;
-                }
-            }
-            for _ in 0..3 {
-                dy.step(&mut st);
-            }
-            st
-        };
-        let bulk = run(StepPath::Bulk);
-        let tg = run(StepPath::TaskGraph);
-        assert_eq!(bulk.max_abs_diff(&tg), 0.0);
     }
 }

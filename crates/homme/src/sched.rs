@@ -294,22 +294,6 @@ impl<'a, T> ArenaMut<'a, T> {
         debug_assert!(start + len <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(start), len)
     }
-
-    /// Read one value without materializing a reference — for gather-style
-    /// jobs that read windows owned by *other* elements.
-    ///
-    /// # Safety
-    /// The caller must guarantee the slot is not being written
-    /// concurrently (the task graph's eligibility rules order every
-    /// neighbor write before the gather that reads it).
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        std::ptr::read(self.ptr.add(i))
-    }
 }
 
 #[cfg(test)]

@@ -14,28 +14,14 @@
 //! that a dirtied workspace reproduces a fresh one bitwise.
 
 use crate::bndry::ExchangeBuffers;
-use crate::health::StageScan;
 use crate::hypervis::ElemHypervisPlan;
 use crate::kernels::member_lanes::MemberRhsScratch;
 use crate::remap::{ElemRemapPlan, RemapApplyScratch, RemapScratch};
 use crate::rhs::{ElemTend, RhsScratch};
 use crate::sched::PerWorker;
 use crate::state::{Dims, State};
-use crate::taskgraph::{PipelineStage, TaskGraph};
 use cubesphere::NPTS;
 use sw26010::V4F64;
-
-/// A stage scan accumulator in its identity state (what
-/// [`crate::health::scan_stage`] returns for empty arenas).
-pub const EMPTY_SCAN: StageScan =
-    StageScan { nonfinite: 0, min_dp3d: f64::INFINITY, max_speed2: 0.0, tracer_nonfinite: 0 };
-
-/// Per-element raw-window capacity (in values) for the task-graph step:
-/// enough for the widest stage — four prognostic fields, the whole tracer
-/// arena, or three sponge fields (always ≤ four full fields).
-pub fn raw_capacity(dims: Dims) -> usize {
-    dims.nlev * NPTS * dims.qsize.max(4)
-}
 
 /// The four dynamics prognostics as flat arenas (`[nelem][nlev][NPTS]`
 /// each) — an RK stage buffer without the tracer/surface fields.
@@ -140,20 +126,6 @@ pub struct StepWorkspace {
     pub qtmp: Vec<f64>,
     /// One private scratch per scheduler worker.
     pub workers: PerWorker<WorkerScratch>,
-    /// Task-graph engine state (counters, claim words, ready queue).
-    pub graph: TaskGraph,
-    /// Raw (pre-DSS) per-element windows, one arena per stage parity —
-    /// `[nelem][raw_capacity]` each.
-    pub raw0: Vec<f64>,
-    /// Second raw parity arena.
-    pub raw1: Vec<f64>,
-    /// Per-element raw window width.
-    pub rawcap: usize,
-    /// Stage list of the current task-graph step (rebuilt per step; the
-    /// reserve keeps steady-state pushes allocation-free).
-    pub stages: Vec<PipelineStage>,
-    /// Per-worker RK stage-scan partials for the checked task-graph step.
-    pub scans: PerWorker<[StageScan; 5]>,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
     /// rebuilt per step without allocating.
     pub hv_plan: ElemHypervisPlan,
@@ -166,9 +138,6 @@ impl StepWorkspace {
         let fl = nelem * dims.field_len();
         let tl = nelem * dims.tracer_len();
         let sl = nelem * sponge_layers.min(dims.nlev) * NPTS;
-        let rawcap = raw_capacity(dims);
-        let mut graph = TaskGraph::new();
-        graph.ensure(nelem);
         StepWorkspace {
             base: DynFields::zeros(fl),
             stage: DynFields::zeros(fl),
@@ -182,12 +151,6 @@ impl StepWorkspace {
             q2: vec![0.0; tl],
             qtmp: vec![0.0; tl],
             workers: PerWorker::new(nworkers, || WorkerScratch::new(dims)),
-            graph,
-            raw0: vec![0.0; nelem * rawcap],
-            raw1: vec![0.0; nelem * rawcap],
-            rawcap,
-            stages: Vec::with_capacity(64),
-            scans: PerWorker::new(nworkers, || [EMPTY_SCAN; 5]),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
     }
@@ -264,37 +227,31 @@ impl MemberLanes {
     }
 }
 
-/// Per-lane hyperviscosity scratch for the member-batched ensemble path:
-/// one full-depth Laplacian arena set per in-flight ensemble member (the
-/// chunked kernel path), plus the lane-interleaved tile scratch of the
-/// member-lane path, so [`crate::prim::Dycore::apply_hypervis_members`]
-/// can run the biharmonic passes of up to `lanes` members through shared
-/// coefficient walks without the members' scratch aliasing. Allocated once
+/// Scratch of the member-batched ensemble path: the lane-interleaved tile
+/// arenas [`crate::prim::Dycore::apply_hypervis_members`] and
+/// [`crate::prim::Dycore::dynamics_step_members`] run full groups of four
+/// members through, plus the member count a batch may hold. Allocated once
 /// by the ensemble driver at construction and reused every step (the
 /// ensemble alloc gate rides on this), same reuse contract as
 /// [`StepWorkspace`]: every slot is written before it is read within a
 /// pass.
 #[derive(Debug)]
 pub struct EnsembleWorkspace {
-    /// One hyp arena set (`u`, `v`, `t`, `dp3d`) per member lane.
-    pub lanes: Vec<DynFields>,
     /// Lane-interleaved member tiles of the member-lane kernel path.
     pub tiles: MemberLanes,
+    lanes: usize,
 }
 
 impl EnsembleWorkspace {
-    /// Lane buffers sized for `nelem` elements of `dims`, `lanes` members.
+    /// Tile buffers sized for `nelem` elements of `dims`, batching up to
+    /// `lanes` members.
     pub fn new(dims: Dims, nelem: usize, lanes: usize) -> Self {
-        let fl = nelem * dims.field_len();
-        EnsembleWorkspace {
-            lanes: (0..lanes).map(|_| DynFields::zeros(fl)).collect(),
-            tiles: MemberLanes::new(dims, nelem),
-        }
+        EnsembleWorkspace { tiles: MemberLanes::new(dims, nelem), lanes }
     }
 
-    /// Number of member lanes this workspace can batch.
+    /// Number of members one batch may hold.
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.lanes
     }
 }
 
@@ -334,93 +291,9 @@ pub struct DistWorkspace {
     pub scratch: WorkerScratch,
     /// Aggregated boundary-exchange pack/accumulate buffers.
     pub ex: ExchangeBuffers,
-    /// Event-loop state of the distributed task-graph step.
-    pub graph: DistGraphBufs,
     /// Hyperviscosity step plan (hoisted subcycle/sponge coefficients),
     /// rebuilt per step without allocating.
     pub hv_plan: ElemHypervisPlan,
-}
-
-/// Buffers of the distributed task-graph event loop. The loop is
-/// single-threaded within a rank (the exchange plan is), so plain vectors
-/// suffice; everything is grow-only and reset per run, keeping the armed
-/// step allocation-free.
-#[derive(Debug, Default)]
-pub struct DistGraphBufs {
-    /// Substages completed per element this run.
-    pub done: Vec<u32>,
-    /// Substages claimed (queued or executed) per element.
-    pub claim: Vec<u32>,
-    /// Ready stack (each element appears at most once).
-    pub ready: Vec<u32>,
-    /// Raw (pre-DSS) windows, even-stage parity.
-    pub raw0: Vec<f64>,
-    /// Raw windows, odd-stage parity.
-    pub raw1: Vec<f64>,
-    /// Per-element raw window width.
-    pub rawcap: usize,
-    /// Stage list of the current step.
-    pub stages: Vec<PipelineStage>,
-    /// Payload values per shared point, per stage.
-    pub stage_sz: Vec<usize>,
-    /// Prefix sums of `stage_sz` (`nstages + 1` entries).
-    pub stage_off: Vec<usize>,
-    /// Boundary elements of each link still owing this stage's compute,
-    /// `[nlinks][nstages]` flattened link-major.
-    pub pending_send: Vec<u32>,
-    /// Whether the `(link, stage)` message has been received, same layout.
-    pub arrived: Vec<bool>,
-    /// Received payloads per link, stage-concatenated via `stage_off`.
-    pub recv_buf: Vec<Vec<f64>>,
-}
-
-impl DistGraphBufs {
-    /// Grow storage for `nelem` elements, `nlinks` peers with
-    /// `npts_of(l)` shared points each, and `rawcap`-wide raw windows.
-    /// The caller fills `self.stages` and `self.stage_sz` (payload values
-    /// per shared point per stage) first; this call derives `stage_off`
-    /// and sizes everything else. Idempotent; only grows.
-    pub fn ensure(
-        &mut self,
-        nelem: usize,
-        rawcap: usize,
-        nlinks: usize,
-        npts_of: impl Fn(usize) -> usize,
-    ) {
-        let nstages = self.stage_sz.len();
-        if self.done.len() < nelem {
-            self.done.resize(nelem, 0);
-            self.claim.resize(nelem, 0);
-        }
-        self.ready.clear();
-        self.ready.reserve(nelem);
-        self.rawcap = rawcap;
-        if self.raw0.len() < nelem * rawcap {
-            self.raw0.resize(nelem * rawcap, 0.0);
-            self.raw1.resize(nelem * rawcap, 0.0);
-        }
-        self.stage_off.clear();
-        self.stage_off.push(0);
-        for &sz in &self.stage_sz {
-            let last = *self.stage_off.last().expect("non-empty prefix");
-            self.stage_off.push(last + sz);
-        }
-        let slots = nlinks * nstages;
-        if self.pending_send.len() < slots {
-            self.pending_send.resize(slots, 0);
-            self.arrived.resize(slots, false);
-        }
-        if self.recv_buf.len() < nlinks {
-            self.recv_buf.resize(nlinks, Vec::new());
-        }
-        let total = self.stage_off[nstages];
-        for (l, buf) in self.recv_buf.iter_mut().enumerate().take(nlinks) {
-            let need = total * npts_of(l);
-            if buf.len() < need {
-                buf.resize(need, 0.0);
-            }
-        }
-    }
 }
 
 impl DistWorkspace {
@@ -444,7 +317,6 @@ impl DistWorkspace {
             qtmp: vec![0.0; tl],
             scratch: WorkerScratch::new(dims),
             ex: ExchangeBuffers::new(),
-            graph: DistGraphBufs::default(),
             hv_plan: ElemHypervisPlan::new(dims.nlev, sponge_layers),
         }
     }

@@ -15,7 +15,7 @@ use cubesphere::consts::P0;
 use cubesphere::NPTS;
 use homme::hypervis::HypervisConfig;
 use homme::remap::remap_field_with;
-use homme::{Dims, Dycore, DycoreConfig, ElemRemapPlan, HealthConfig, RemapApplyScratch, StepPath};
+use homme::{Dims, Dycore, DycoreConfig, ElemRemapPlan, HealthConfig, RemapApplyScratch};
 
 /// Counts every allocation (from any thread, scheduler workers included)
 /// while armed; forwards everything to the system allocator.
@@ -116,19 +116,4 @@ fn step_allocates_nothing_after_warmup() {
 
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(n, 0, "Dycore::step_checked heap-allocated {n} times after warm-up");
-
-    // Same contract on the task-graph path: one warm-up step grows the
-    // graph's grow-only buffers (raw parity windows, ready ring, scan
-    // partials), after which stepping is allocation-free too.
-    dy.step_path = StepPath::TaskGraph;
-    dy.step_checked(&mut st).expect("task-graph warm-up step");
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    dy.step_checked(&mut st).expect("armed task-graph step");
-    dy.step_checked(&mut st).expect("armed task-graph step");
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(n, 0, "task-graph step_checked heap-allocated {n} times after warm-up");
 }

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use cubesphere::consts::P0;
 use cubesphere::{CubedSphere, Partition, NPTS};
 use homme::hypervis::HypervisConfig;
-use homme::{Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig, StepPath};
+use homme::{Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig};
 use swmpi::run_ranks;
 
 /// Counts every allocation (from any thread, all ranks included) while
@@ -121,43 +121,9 @@ fn distributed_step_allocates_nothing_after_warmup() {
             ARMED.store(false, Ordering::SeqCst);
         }
         ctx.coll.barrier();
-        let bulk_allocs = ALLOCS.load(Ordering::SeqCst);
-
-        // Same contract on the message-driven task-graph path: the warm-up
-        // step grows the graph buffers (raw parity windows, per-link
-        // receive slots, ready stack) and widens the communicator's pooled
-        // buffers to the per-stage message sizes; after that, stepping is
-        // allocation-free on every rank.
-        dist.step_path = StepPath::TaskGraph;
-        for _ in 0..2 {
-            let _ = dist
-                .step_checked(ctx, &mut local)
-                .expect("task-graph warm-up step")
-                .reduce_global(&ctx.coll);
-        }
-        ctx.coll.barrier();
-        if ctx.rank() == 0 {
-            ALLOCS.store(0, Ordering::SeqCst);
-            ARMED.store(true, Ordering::SeqCst);
-        }
-        ctx.coll.barrier();
-        let g1 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(&ctx.coll);
-        let g2 = dist.step_checked(ctx, &mut local).expect("armed step").reduce_global(&ctx.coll);
-        assert!(g1.checked && g2.checked);
-        ctx.coll.barrier();
-        if ctx.rank() == 0 {
-            ARMED.store(false, Ordering::SeqCst);
-        }
-        ctx.coll.barrier();
         assert_eq!(ctx.comm.unmatched(), 0, "orphaned messages on rank {}", ctx.rank());
-        (bulk_allocs, ALLOCS.load(Ordering::SeqCst))
+        ALLOCS.load(Ordering::SeqCst)
     });
-    let (bulk_max, graph_max) = counts
-        .into_iter()
-        .fold((0, 0), |(b, g), (nb, ng)| (b.max(nb), g.max(ng)));
-    assert_eq!(bulk_max, 0, "DistDycore::step heap-allocated {bulk_max} times after warm-up");
-    assert_eq!(
-        graph_max, 0,
-        "task-graph DistDycore::step heap-allocated {graph_max} times after warm-up"
-    );
+    let max = counts.into_iter().max().unwrap_or(0);
+    assert_eq!(max, 0, "DistDycore::step heap-allocated {max} times after warm-up");
 }

@@ -417,12 +417,12 @@ impl Comm {
 
     /// Ensure the pool holds at least `count` buffers of capacity exactly
     /// `len`, allocating the shortfall up front (bounded by
-    /// [`Comm::pool_capacity`]). Drivers whose send timing is
-    /// thread-schedule-dependent (the task-graph step) call this at setup
-    /// with one buffer per (link, distinct payload width) class: the
-    /// in-order link protocol bounds each class's transient take/recycle
-    /// deficit at one, so a stocked class never goes dry mid-step and
-    /// steady-state sends stay allocation-free regardless of timing.
+    /// [`Comm::pool_capacity`]). A driver whose send timing is
+    /// thread-schedule-dependent calls this at setup with one buffer per
+    /// (link, distinct payload width) class: when an in-order link
+    /// protocol bounds each class's transient take/recycle deficit at one,
+    /// a stocked class never goes dry mid-step and steady-state sends stay
+    /// allocation-free regardless of timing.
     pub fn stock_buffers(&mut self, len: usize, count: usize) {
         if len == 0 {
             return;
@@ -634,9 +634,9 @@ impl Comm {
 
     /// Nonblocking completion probe for a posted receive: returns
     /// `Ok(Some(..))` if a matching message is already here, `Ok(None)`
-    /// otherwise — never blocks and never times out. The event-driven step
-    /// drivers poll with this while useful work remains and fall back to
-    /// [`Comm::wait`] only when the task graph runs dry.
+    /// otherwise — never blocks and never times out. An event-driven
+    /// driver polls with this while useful work remains and falls back to
+    /// [`Comm::wait`] only when it runs out of work.
     ///
     /// In reliable mode the probe also sweeps stale arrivals and checks
     /// the retransmit log, so dropped messages can be recovered without a

@@ -18,8 +18,8 @@
 //! The seam is deliberately narrow: outbound delivery, a nonblocking
 //! inbound drain, a bounded blocking drain, and peer-liveness queries.
 //! Everything above it (tags, watermarks, epoch purges, timeouts) is
-//! transport-agnostic, which is why `homme::dist` and the task-graph
-//! driver run unchanged over TCP.
+//! transport-agnostic, which is why `homme::dist` runs unchanged over
+//! TCP.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

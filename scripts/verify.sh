@@ -32,19 +32,6 @@ cargo test -q -p swcam-core --lib checkpoint
 cargo test -q -p homme --lib health
 cargo test -q -p swcam-bench --test fault_injection
 
-# Task-graph group: the message-driven element task graph must stay
-# bitwise identical to the bulk-synchronous step — engine unit tests, the
-# serial pipeline parity suite, the canonical-order DSS gather, the
-# distributed event loop parity suite, the schedule-independence sweep,
-# and the task-graph halves of both allocation gates and the fault suite.
-echo "== taskgraph test group"
-cargo test -q -p homme --lib taskgraph
-cargo test -q -p homme --lib dss
-cargo test -q -p homme --lib bndry::tests::gather_plan
-cargo test -q -p homme --test taskgraph_determinism
-cargo test -q -p homme --test alloc_regression
-cargo test -q -p swcam-bench --test fault_injection taskgraph
-
 # Kernel-parity group: the blocked (default) kernel path must stay bitwise
 # identical to the scalar oracle, per operator and over whole serial and
 # distributed trajectories.

@@ -17,7 +17,7 @@ use std::time::Duration;
 use cubesphere::consts::P0;
 use cubesphere::{CubedSphere, Partition, NPTS};
 use homme::hypervis::HypervisConfig;
-use homme::{Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig, State, StepPath};
+use homme::{Dims, DistDycore, Dycore, DycoreConfig, ExchangeMode, HealthConfig, State};
 use swcam_core::{run_resilient, run_resilient_with, ResilienceConfig};
 use swmpi::{run_ranks_with, CommConfig, FaultPlan, WorldOptions};
 
@@ -93,18 +93,11 @@ fn assert_bitwise(a: &RankStates, b: &RankStates, what: &str) {
 }
 
 /// Run `NSTEPS` plain distributed steps on every rank under `opts`.
-fn run_dist_steps_on(
-    grid: &CubedSphere,
-    part: &Partition,
-    init: &State,
-    opts: WorldOptions,
-    path: StepPath,
-) -> RankStates {
+fn run_dist_steps(grid: &CubedSphere, part: &Partition, init: &State, opts: WorldOptions) -> RankStates {
     let cfg = config();
     run_ranks_with(NRANKS, opts, |ctx| {
         let mut dist =
             DistDycore::new(grid, part, ctx.rank(), dims(), 2000.0, cfg, ExchangeMode::Redesigned);
-        dist.step_path = path;
         let mut local = dist.local_state(init);
         for step in 0..NSTEPS {
             ctx.set_step(step as u64);
@@ -115,25 +108,19 @@ fn run_dist_steps_on(
     })
 }
 
-fn run_dist_steps(grid: &CubedSphere, part: &Partition, init: &State, opts: WorldOptions) -> RankStates {
-    run_dist_steps_on(grid, part, init, opts, StepPath::Bulk)
-}
-
 /// Run `NSTEPS` committed steps through the resilient driver under `opts`.
 /// Returns the per-rank states plus rank 0's report.
-fn run_resilient_steps_on(
+fn run_resilient_steps(
     grid: &CubedSphere,
     part: &Partition,
     init: &State,
     opts: WorldOptions,
-    path: StepPath,
 ) -> (RankStates, swcam_core::ResilientReport) {
     let cfg = config();
     let rcfg = ResilienceConfig { checkpoint_interval: 2, max_rollbacks_per_step: 3 };
     let mut out = run_ranks_with(NRANKS, opts, |ctx| {
         let mut dist =
             DistDycore::new(grid, part, ctx.rank(), dims(), 2000.0, cfg, ExchangeMode::Redesigned);
-        dist.step_path = path;
         dist.health = HealthConfig::on();
         let mut local = dist.local_state(init);
         let report = run_resilient(ctx, &mut dist, &mut local, NSTEPS as u64, &rcfg)
@@ -145,15 +132,6 @@ fn run_resilient_steps_on(
         assert_eq!(*r, report, "rank {rank} reports a different run than rank 0");
     }
     (out.drain(..).map(|(o, s, _)| (o, s)).collect(), report)
-}
-
-fn run_resilient_steps(
-    grid: &CubedSphere,
-    part: &Partition,
-    init: &State,
-    opts: WorldOptions,
-) -> (RankStates, swcam_core::ResilientReport) {
-    run_resilient_steps_on(grid, part, init, opts, StepPath::Bulk)
 }
 
 /// Seeded message faults (drops, duplicates, delays) are absorbed by the
@@ -428,66 +406,4 @@ fn stalled_rank_is_waited_out_without_rollback() {
     let (stalled, report) = run_resilient_steps(&grid, &part, &init, opts);
     assert_eq!(report.rollbacks, 0, "a stall must not trigger recovery");
     assert_bitwise(&clean, &stalled, "stalled vs clean");
-}
-
-/// The message-driven task-graph step under seeded drops, duplicates and
-/// delayed/reordered sends: the canonical-order accumulation makes the
-/// result arrival-order independent by construction, and the reliable
-/// mode absorbs the losses — faulted, clean task-graph and clean bulk
-/// trajectories are all bitwise equal.
-#[test]
-fn taskgraph_message_faults_do_not_change_the_answer() {
-    let grid = CubedSphere::new(NE);
-    let part = Partition::new(&grid, NRANKS);
-    let serial = Dycore::new(NE, dims(), 2000.0, config());
-    let init = initial_state(&serial);
-
-    let bulk = run_dist_steps(&grid, &part, &init, WorldOptions::default());
-    let clean =
-        run_dist_steps_on(&grid, &part, &init, WorldOptions::default(), StepPath::TaskGraph);
-    assert_bitwise(&bulk, &clean, "clean task-graph vs clean bulk");
-
-    let faults = FaultPlan::seeded(0x5EED_FA17)
-        .drop_per_mille(30)
-        .duplicate_per_mille(30)
-        .delay_per_mille(30, 3);
-    let opts = WorldOptions {
-        comm: CommConfig { recv_timeout: Duration::from_secs(20), ..CommConfig::default() },
-        faults: Some(faults),
-    };
-    let faulted = run_dist_steps_on(&grid, &part, &init, opts, StepPath::TaskGraph);
-    assert_bitwise(&clean, &faulted, "faulted task-graph vs clean");
-}
-
-/// A rank crash mid-run under the task-graph step: peers block on the
-/// dead rank's stage payload, the timeout surfaces through the event
-/// loop, and the resilient driver's rollback re-seeds the whole graph
-/// (fresh epoch, fresh tags) — recovery commits the same bits as an
-/// undisturbed task-graph run.
-#[test]
-fn taskgraph_crashed_rank_rolls_back_and_recovers() {
-    let grid = CubedSphere::new(NE);
-    let part = Partition::new(&grid, NRANKS);
-    let serial = Dycore::new(NE, dims(), 2000.0, config());
-    let init = initial_state(&serial);
-
-    let (clean, clean_report) = run_resilient_steps_on(
-        &grid,
-        &part,
-        &init,
-        WorldOptions::default(),
-        StepPath::TaskGraph,
-    );
-    assert_eq!(clean_report.steps, NSTEPS as u64);
-    assert_eq!(clean_report.rollbacks, 0);
-
-    let opts = WorldOptions {
-        comm: CommConfig { recv_timeout: Duration::from_millis(500), ..CommConfig::default() },
-        faults: Some(FaultPlan::seeded(9).crash_rank(1, 3)),
-    };
-    let (crashed, report) = run_resilient_steps_on(&grid, &part, &init, opts, StepPath::TaskGraph);
-    assert!(report.steps > NSTEPS as u64, "replayed commits must show in the report");
-    assert!(report.rollbacks >= 1, "the crash must force at least one rollback");
-    assert!(report.final_epoch >= 1, "recovery must bump the rollback epoch");
-    assert_bitwise(&clean, &crashed, "crashed task-graph vs clean");
 }
